@@ -39,7 +39,6 @@ from .model import (
     UserActivityLog,
     Verdict,
     build_log,
-    validate_record,
 )
 from .report import FigureDataset, figure_dataset, summarize, svg_scatter
 from .synth import LabeledCorpus, PersonaKind, PersonaSpec, benchmark_specs, generate
@@ -84,6 +83,5 @@ __all__ = [
     "pchf",
     "summarize",
     "svg_scatter",
-    "validate_record",
     "vidovp",
 ]

@@ -1,12 +1,8 @@
 """Threshold rule turning a feature vector into an explainable verdict.
 
 A user with more than min_comments comments is a spammer when ANY clause
-fires (OR combination), with every comparison strict:
-
-    PCHF   pchf_pct > pchf_gt        (default 70)
-    ATDC   atdc_s   < atdc_lt_s      (default 150 seconds; absent never fires)
-    COMOVP crr      > comovp_gt      (default 0.60)
-    VIDOVP vidovp   > vidovp_gt      (default 0.60)
+of model.CLAUSES fires (OR combination), every comparison strict; an absent
+ATDC never fires. `spamminer --help` prints the rule with its defaults.
 
 Users at or below the comment gate get the distinct Insufficient label:
 they are excluded from the analysis, not cleared. The verdict records every
@@ -17,24 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FeatureVector, Indicator, Label, RuleConfig, Verdict
+from .model import CLAUSES, FeatureVector, Label, RuleConfig, Verdict
 
 
 def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
     """Apply the threshold rule to one feature vector."""
     if fv.n_comments <= cfg.min_comments:
         return Verdict(fv.user_id, Label.INSUFFICIENT, frozenset(), fv)
-    triggered = set()
-    if fv.pchf_pct > cfg.pchf_gt:
-        triggered.add(Indicator.PCHF)
-    if fv.atdc_s is not None and fv.atdc_s < cfg.atdc_lt_s:
-        triggered.add(Indicator.ATDC)
-    if fv.crr > cfg.comovp_gt:
-        triggered.add(Indicator.COMOVP)
-    if fv.vidovp > cfg.vidovp_gt:
-        triggered.add(Indicator.VIDOVP)
+    triggered = frozenset(clause.indicator for clause in CLAUSES if clause.fires(fv, cfg))
     label = Label.SPAMMER if triggered else Label.LEGIT
-    return Verdict(fv.user_id, label, frozenset(triggered), fv)
+    return Verdict(fv.user_id, label, triggered, fv)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,14 @@ import sys
 from pathlib import Path
 
 from . import classifier, features, ingest, report, synth
-from .model import ConfigError, RuleConfig, load_rule_config, verdict_to_json
+from .model import (
+    CLAUSES,
+    ConfigError,
+    FeatureVector,
+    RuleConfig,
+    load_rule_config,
+    verdict_to_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,9 +34,10 @@ EXIT_IO = 4
 
 _RULE_DEFAULTS = RuleConfig()
 _EPILOG = (
-    "default rule: spammer iff PCHF > {0.pchf_gt:g} OR ATDC < {0.atdc_lt_s:g}s "
-    "OR COMOVP > {0.comovp_gt:g} OR VIDOVP > {0.vidovp_gt:g}, applied to users "
-    "with more than {0.min_comments} comments".format(_RULE_DEFAULTS)
+    "default rule: spammer iff "
+    + " OR ".join(f"{c.indicator.value} {c.op} {getattr(_RULE_DEFAULTS, c.threshold):g}{c.unit}"
+                  for c in CLAUSES)
+    + f", applied to users with more than {_RULE_DEFAULTS.min_comments} comments"
 )
 
 
@@ -66,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fetch = sub.add_parser("fetch", help="fetch user logs from a feed into a cache")
     fetch.add_argument("--endpoint", required=True,
-                       help="feed base URL or a directory of {user_id}.jsonl files")
+                       help="feed base URL or a directory of "
+                            "{percent-encoded user_id}.jsonl files")
     fetch.add_argument("--users", required=True, help="file with one user_id per line")
     fetch.add_argument("--cache", required=True, help="cache directory")
     fetch.add_argument("--page-limit", type=int, default=ingest.DEFAULT_PAGE_LIMIT)
@@ -96,39 +105,33 @@ def _load_config(path: str | None) -> RuleConfig:
     return load_rule_config(path) if path else RuleConfig()
 
 
-def _parse_corpus(path: str, fmt: str):
-    parse = ingest.parse_jsonl if fmt == "jsonl" else ingest.parse_csv
-    with open(path, "rb") as fh:
+def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
+    """Parse --input, group it by user and compute each user's feature vector."""
+    parse = ingest.parse_jsonl if args.format == "jsonl" else ingest.parse_csv
+    with open(args.input, "rb") as fh:
         records, rep = parse(fh)
     for line_no, error_name in rep.rejects:
-        _warn(f"{path}:{line_no}: rejected line ({error_name})")
+        _warn(f"{args.input}:{line_no}: rejected line ({error_name})")
     if rep.rejected:
-        _warn(f"{path}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return records
+        _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
+    return [features.feature_vector(log, args.normalization)
+            for log in ingest.group_by_user(records)]
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
     fv = verdict.features
-    clauses = []
-    for ind in verdict.triggered:
-        if ind.value == "PCHF":
-            clauses.append(f"PCHF {fv.pchf_pct:g} > {cfg.pchf_gt:g}")
-        elif ind.value == "ATDC":
-            clauses.append(f"ATDC {fv.atdc_s:g}s < {cfg.atdc_lt_s:g}s")
-        elif ind.value == "COMOVP":
-            clauses.append(f"COMOVP {fv.crr:g} > {cfg.comovp_gt:g}")
-        else:
-            clauses.append(f"VIDOVP {fv.vidovp:g} > {cfg.vidovp_gt:g}")
-    detail = f" [{'; '.join(sorted(clauses))}]" if clauses else ""
+    clauses = [
+        f"{c.indicator.value} {getattr(fv, c.feature):g}{c.unit} {c.op} "
+        f"{getattr(cfg, c.threshold):g}{c.unit}"
+        for c in CLAUSES if c.indicator in verdict.triggered
+    ]
+    detail = f" [{'; '.join(clauses)}]" if clauses else ""
     return f"{verdict.user_id}: {verdict.label.value}{detail}"
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    records = _parse_corpus(args.input, args.format)
-    logs = ingest.group_by_user(records)
-    fvs = [features.feature_vector(log, args.normalization) for log in logs]
-    batch = classifier.classify_batch(fvs, cfg)
+    batch = classifier.classify_batch(_corpus_features(args), cfg)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -180,9 +183,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")
     cfg = _load_config(args.config)
-    records = _parse_corpus(args.input, args.format)
-    logs = ingest.group_by_user(records)
-    fvs = [features.feature_vector(log, args.normalization) for log in logs]
+    fvs = _corpus_features(args)
     for figure_id in figure_ids:
         ds = report.figure_dataset(fvs, figure_id, cfg)
         report.write_figure_csv(ds, args.outdir)

@@ -88,57 +88,55 @@ def pchf(log: UserActivityLog) -> float:
     return 100 * flagged / n
 
 
-def crr(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
-    """Fraction of unordered pairs with exactly matching normalized text."""
+def _pair_census(log: UserActivityLog, mode: str) -> tuple[float, float, float]:
+    """(crr, vidovp, crav) from one count of the text, video and (text, video) classes.
+
+    Each text is normalized once. vidovp is the complement of the same-video
+    pair count; crav is same-text pairs minus same-text-same-video pairs.
+    """
     n = len(log.records)
     if n < 2:
-        return 0.0
-    texts = Counter(normalize_text(rec.text, mode) for rec in log.records)
-    return _within_class_pairs(texts) / _pair_count(n)
+        return 0.0, 0.0, 0.0
+    texts = [normalize_text(rec.text, mode) for rec in log.records]
+    videos = [rec.video_id for rec in log.records]
+    pairs = _pair_count(n)
+    same_text = _within_class_pairs(Counter(texts))
+    same_video = _within_class_pairs(Counter(videos))
+    same_text_and_video = _within_class_pairs(Counter(zip(texts, videos)))
+    return (
+        same_text / pairs,
+        (pairs - same_video) / pairs,
+        (same_text - same_text_and_video) / pairs,
+    )
+
+
+def crr(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
+    """Fraction of unordered pairs with exactly matching normalized text."""
+    return _pair_census(log, mode)[0]
 
 
 def vidovp(log: UserActivityLog) -> float:
-    """Fraction of unordered pairs posted on different videos.
+    """Fraction of unordered pairs posted on different videos (0 when all share one).
 
-    Computed as the complement of the same-video pair count: a user whose
-    comments all sit on one video scores 0, one who never repeats a video
-    scores 1.
+    Texts are not compared here, so they are left raw.
     """
-    n = len(log.records)
-    if n < 2:
-        return 0.0
-    videos = Counter(rec.video_id for rec in log.records)
-    same_video = _within_class_pairs(videos)
-    return (_pair_count(n) - same_video) / _pair_count(n)
+    return _pair_census(log, MODE_RAW_BYTES)[1]
 
 
 def crav(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
-    """Fraction of pairs matching in text AND posted on different videos.
-
-    Counted as same-text pairs minus same-text-same-video pairs, both via
-    class counts, so the result is exactly the brute-force pair census.
-    """
-    n = len(log.records)
-    if n < 2:
-        return 0.0
-    texts: Counter = Counter()
-    text_and_video: Counter = Counter()
-    for rec in log.records:
-        text = normalize_text(rec.text, mode)
-        texts[text] += 1
-        text_and_video[(text, rec.video_id)] += 1
-    qualifying = _within_class_pairs(texts) - _within_class_pairs(text_and_video)
-    return qualifying / _pair_count(n)
+    """Fraction of pairs matching in text AND posted on different videos."""
+    return _pair_census(log, mode)[2]
 
 
 def feature_vector(log: UserActivityLog, mode: str = MODE_CANONICAL) -> FeatureVector:
     """Assemble all indicators plus the comment count for one user."""
+    pair_crr, pair_vidovp, pair_crav = _pair_census(log, mode)
     return FeatureVector(
         user_id=log.user_id,
         n_comments=len(log.records),
         atdc_s=atdc(log),
         pchf_pct=pchf(log),
-        crr=crr(log, mode),
-        vidovp=vidovp(log),
-        crav=crav(log, mode),
+        crr=pair_crr,
+        vidovp=pair_vidovp,
+        crav=pair_crav,
     )

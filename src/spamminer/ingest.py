@@ -13,7 +13,7 @@ directory of files can stand in for a real comment-activity API:
         -> 404 when the user is unknown
 
 next_page_token is absent on the final page. A directory endpoint serves
-{user_id}.jsonl files instead.
+one JSONL file per user instead, in the cache layout (see _user_file).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .model import (
     decode_record,
     parse_rfc3339,
     record_to_json,
-    validate_record,
 )
 
 
@@ -188,7 +187,7 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
                 raise ParseError(f"row has {len(row)} fields, expected {len(columns)}")
             comment_id = row[index["comment_id"]].strip() if has_comment_id else ""
             records.append(
-                validate_record(
+                CommentRecord(
                     user_id=row[index["user_id"]],
                     video_id=row[index["video_id"]],
                     timestamp_s=_parse_published_at(row[index["published_at"]]),
@@ -295,17 +294,21 @@ def fetch_user_log(
     """Fetch one user's activity log from a feed endpoint.
 
     The endpoint is either an HTTP(S) base URL speaking the paged feed
-    protocol, or a directory containing {user_id}.jsonl. HTTP pages are
-    followed via next_page_token until the final page or page_limit pages,
-    whichever comes first; hitting the limit returns the partial log with
-    truncated=True. Failed page fetches are retried once per backoff step
-    (0.5s, 1s, 2s by default) before EndpointUnreachable is raised.
+    protocol, or a directory in the cache layout, where a user without a
+    file raises UserNotFound. HTTP pages are followed via next_page_token
+    until the final page or page_limit pages, whichever comes first; hitting
+    the limit returns the partial log with truncated=True. Failed page
+    fetches are retried once per backoff step (0.5s, 1s, 2s by default)
+    before EndpointUnreachable is raised.
     """
     if page_limit < 1:
         raise ValueError(f"page_limit must be positive: {page_limit}")
     endpoint_str = os.fspath(endpoint)
     if not endpoint_str.startswith(("http://", "https://")):
-        return _fetch_from_directory(Path(endpoint_str), user_id)
+        log = cache_get(endpoint_str, user_id)
+        if log is None:
+            raise UserNotFound(f"no log file for user {user_id!r} in {endpoint_str}")
+        return FetchResult(log=log)
 
     records: list[CommentRecord] = []
     token: str | None = None
@@ -321,26 +324,22 @@ def fetch_user_log(
     return FetchResult(log=build_log(user_id, records), truncated=truncated)
 
 
-def _fetch_from_directory(directory: Path, user_id: str) -> FetchResult:
-    path = directory / f"{user_id}.jsonl"
-    if not path.is_file():
-        raise UserNotFound(f"no log file for user {user_id!r} in {directory}")
-    with open(path, "rb") as fh:
-        records, _report = parse_jsonl(fh)
-    return FetchResult(log=build_log(user_id, records), truncated=False)
-
-
 # --- on-disk cache ---------------------------------------------------------
 
+def _user_file(directory: str | os.PathLike, user_id: str) -> Path:
+    """{directory}/{percent-encoded user_id}.jsonl: always a direct child of directory."""
+    return Path(directory) / (quote(user_id, safe="") + ".jsonl")
+
+
 def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
-    """Store a log as {dir}/{user_id}.jsonl, atomically (temp file + rename).
+    """Store a log as one JSONL file per user, atomically (temp file + rename).
 
     Concurrent writers for distinct users touch distinct files; a repeat put
     for the same user replaces the previous file in one rename.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    target = directory / f"{log.user_id}.jsonl"
+    target = _user_file(directory, log.user_id)
     payload = "".join(record_to_json(rec) + "\n" for rec in log.records)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
     try:
@@ -357,13 +356,14 @@ def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
 
 
 def cache_get(directory: str | os.PathLike, user_id: str) -> UserActivityLog | None:
-    """Load a cached log, or None when the user has no cache entry."""
-    path = Path(directory) / f"{user_id}.jsonl"
+    """Load a user's log from the cache layout, or None when it has no file.
+
+    Raises AllLinesRejected when the file has lines but none of them parse,
+    so a corrupt entry is never mistaken for an empty log.
+    """
+    path = _user_file(directory, user_id)
     if not path.is_file():
         return None
     with open(path, "rb") as fh:
-        try:
-            records, _report = parse_jsonl(fh)
-        except AllLinesRejected:
-            records = []
+        records, _report = parse_jsonl(fh)
     return build_log(user_id, records)

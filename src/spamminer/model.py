@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -74,29 +76,6 @@ class CommentRecord:
             raise EmptyVideoId("video_id is empty")
         if self.timestamp_s < 0:
             raise NegativeTimestamp(f"timestamp_s is negative: {self.timestamp_s}")
-
-
-def validate_record(
-    user_id: str,
-    video_id: str,
-    timestamp_s: int,
-    text: str = "",
-    has_spam_hint: bool = False,
-    comment_id: str | None = None,
-) -> CommentRecord:
-    """Build a validated CommentRecord, trimming identifiers.
-
-    Raises EmptyUserId, EmptyVideoId, or NegativeTimestamp naming the
-    offending field.
-    """
-    return CommentRecord(
-        user_id=user_id,
-        video_id=video_id,
-        timestamp_s=timestamp_s,
-        text=text,
-        has_spam_hint=has_spam_hint,
-        comment_id=comment_id,
-    )
 
 
 @dataclass(frozen=True)
@@ -204,12 +183,43 @@ class Indicator(str, Enum):
     VIDOVP = "VIDOVP"
 
 
-VALID_COMBINE = ("or",)
+_COMPARE = {">": operator.gt, "<": operator.lt}
+
+
+class Clause(NamedTuple):
+    """One clause of the spammer rule: `feature op threshold`, strictly.
+
+    feature names a FeatureVector field and threshold a RuleConfig field;
+    fields ending in _s hold seconds.
+    """
+
+    indicator: Indicator
+    feature: str
+    op: str
+    threshold: str
+
+    @property
+    def unit(self) -> str:
+        return "s" if self.threshold.endswith("_s") else ""
+
+    def fires(self, fv: FeatureVector, cfg: RuleConfig) -> bool:
+        """Whether this clause holds for fv; an absent feature never fires."""
+        value = getattr(fv, self.feature)
+        return value is not None and _COMPARE[self.op](value, getattr(cfg, self.threshold))
+
+
+# The spammer rule: a user is a spammer when any clause fires. Rule order.
+CLAUSES = (
+    Clause(Indicator.PCHF, "pchf_pct", ">", "pchf_gt"),
+    Clause(Indicator.ATDC, "atdc_s", "<", "atdc_lt_s"),
+    Clause(Indicator.COMOVP, "crr", ">", "comovp_gt"),
+    Clause(Indicator.VIDOVP, "vidovp", ">", "vidovp_gt"),
+)
 
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Thresholds and combination semantics for the spammer rule.
+    """Thresholds for the spammer rule (the OR of CLAUSES).
 
     The rule applies only to users with strictly more than min_comments
     comments; all four threshold comparisons are strict. Defaults are the
@@ -221,23 +231,20 @@ class RuleConfig:
     atdc_lt_s: float = 150.0
     comovp_gt: float = 0.60
     vidovp_gt: float = 0.60
-    combine: str = "or"
 
     def __post_init__(self) -> None:
         if self.min_comments < 1:
             raise ConfigError(f"min_comments must be positive: {self.min_comments}")
-        for name in ("pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt"):
-            value = getattr(self, name)
+        for clause in CLAUSES:
+            value = getattr(self, clause.threshold)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite: {value}")
+                raise ConfigError(f"{clause.threshold} must be finite: {value}")
         if not 0.0 <= self.pchf_gt <= 100.0:
             raise ConfigError(f"pchf_gt out of range [0, 100]: {self.pchf_gt}")
         for name in ("comovp_gt", "vidovp_gt"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} out of range [0, 1]: {value}")
-        if self.combine not in VALID_COMBINE:
-            raise ConfigError(f"unsupported combine mode: {self.combine!r}")
 
 
 @dataclass(frozen=True)
@@ -302,6 +309,8 @@ def decode_record(obj: dict) -> CommentRecord:
     for key in ("user_id", "video_id", "published_at"):
         if key not in obj:
             raise ValidationError(f"missing field {key!r}")
+        if not isinstance(obj[key], str):
+            raise ValidationError(f"{key} must be a string")
     comment_id = obj.get("comment_id")
     if comment_id is not None and not isinstance(comment_id, str):
         raise ValidationError("comment_id must be a string")
@@ -311,11 +320,9 @@ def decode_record(obj: dict) -> CommentRecord:
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise ValidationError("text must be a string")
-    if not isinstance(obj["published_at"], str):
-        raise ValidationError("published_at must be a string")
-    return validate_record(
-        user_id=str(obj["user_id"]),
-        video_id=str(obj["video_id"]),
+    return CommentRecord(
+        user_id=obj["user_id"],
+        video_id=obj["video_id"],
         timestamp_s=parse_rfc3339(obj["published_at"]),
         text=text,
         has_spam_hint=hint,
@@ -335,12 +342,8 @@ def encode_features(fv: FeatureVector) -> dict:
     return obj
 
 
-# Serialization order for triggered indicators: rule order, not alphabetic.
-_INDICATOR_ORDER = (Indicator.PCHF, Indicator.ATDC, Indicator.COMOVP, Indicator.VIDOVP)
-
-
 def encode_verdict(verdict: Verdict) -> dict:
-    triggered = [ind.value for ind in _INDICATOR_ORDER if ind in verdict.triggered]
+    triggered = [ind.value for ind in Indicator if ind in verdict.triggered]
     return {
         "user_id": verdict.user_id,
         "label": verdict.label.value,
@@ -353,37 +356,32 @@ def verdict_to_json(verdict: Verdict) -> str:
     return json.dumps(encode_verdict(verdict), ensure_ascii=False)
 
 
-_RULE_CONFIG_KEYS = frozenset(
-    ("min_comments", "pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt", "combine")
-)
-
-
 def rule_config_from_obj(obj: dict) -> RuleConfig:
     """Build a RuleConfig from a JSON object, rejecting unknown keys.
 
     Unknown keys are an error rather than ignored: a typo in a threshold
-    name would otherwise silently fall back to the default.
+    name would otherwise silently fall back to the default. The optional
+    "combine" key names the only combination there is, "or", in any case.
     """
     if not isinstance(obj, dict):
         raise ConfigError("rule config must be a JSON object")
-    unknown = sorted(set(obj) - _RULE_CONFIG_KEYS)
+    unknown = sorted(set(obj) - {f.name for f in fields(RuleConfig)} - {"combine"})
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
+    combine = obj.get("combine", "or")
+    if not isinstance(combine, str) or combine.lower() != "or":
+        raise ConfigError(f"unsupported combine mode: {combine!r}")
     kwargs: dict = {}
     if "min_comments" in obj:
         if not isinstance(obj["min_comments"], int) or isinstance(obj["min_comments"], bool):
             raise ConfigError("min_comments must be an integer")
         kwargs["min_comments"] = obj["min_comments"]
-    for name in ("pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt"):
-        if name in obj:
-            value = obj[name]
+    for clause in CLAUSES:
+        if clause.threshold in obj:
+            value = obj[clause.threshold]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number")
-            kwargs[name] = float(value)
-    if "combine" in obj:
-        if not isinstance(obj["combine"], str):
-            raise ConfigError("combine must be a string")
-        kwargs["combine"] = obj["combine"].lower()
+                raise ConfigError(f"{clause.threshold} must be a number")
+            kwargs[clause.threshold] = float(value)
     return RuleConfig(**kwargs)
 
 

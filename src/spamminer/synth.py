@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .model import CommentRecord, validate_record, record_to_json
+from .model import CommentRecord, record_to_json
 
 
 class InvalidSpec(ValueError):
@@ -186,7 +186,7 @@ def _offsets(rng: random.Random, n: int, gap_range: tuple[int, int]) -> list[int
 
 
 def _record(uid: str, idx: int, video: str, ts: int, text: str, hint: bool) -> CommentRecord:
-    return validate_record(
+    return CommentRecord(
         user_id=uid,
         video_id=video,
         timestamp_s=ts,

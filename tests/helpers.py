@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from spamminer.model import CommentRecord, UserActivityLog, build_log, validate_record
+from spamminer.model import CommentRecord, UserActivityLog, build_log
 
 
 def make_record(user="u1", video="v1", ts=0, text="", hint=False, cid=None) -> CommentRecord:
-    return validate_record(
+    return CommentRecord(
         user_id=user, video_id=video, timestamp_s=ts,
         text=text, has_spam_hint=hint, comment_id=cid,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from spamminer.cli import (
     EXIT_USAGE,
     main,
 )
-from spamminer.model import verdict_to_json
+from spamminer.model import record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
 from helpers import make_record
@@ -56,6 +57,17 @@ class TestScore:
         assert captured.out == ""
         assert "bot-0000: spammer" in captured.err
         assert "ATDC" in captured.err
+
+    def test_explain_lists_clauses_in_rule_order(self, tmp_path, capsys):
+        # Flagged robot-speed posting on one video: PCHF and ATDC fire, nothing else.
+        records = [make_record(user="u1", ts=i, text=f"t{i}", hint=True, cid=f"c{i}")
+                   for i in range(8)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(record_to_json(rec) + "\n" for rec in records))
+        code = main(["score", "--input", str(corpus), "--output",
+                     str(tmp_path / "verdicts.jsonl"), "--explain"])
+        assert code == EXIT_OK
+        assert "u1: spammer [PCHF 100 > 70; ATDC 3s < 150s]" in capsys.readouterr().err
 
     def test_matches_library_composition(self, corpus_path, tmp_path):
         out = tmp_path / "verdicts.jsonl"
@@ -119,6 +131,26 @@ class TestScore:
                      "--output", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text().splitlines()[0])["features"]["n_comments"] == 8
+
+
+class TestGoldenOutputs:
+    """Byte-identical outputs on the default benchmark mix, seed 2011."""
+
+    def test_score_and_report_digests(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["synth", "--seed", "2011", "--out", str(corpus)]) == EXIT_OK
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["score", "--input", str(corpus), "--output", str(verdicts)]) == EXIT_OK
+        figs = tmp_path / "figs"
+        assert main(["report", "--input", str(corpus), "--svg",
+                     "--outdir", str(figs)]) == EXIT_OK
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (verdicts, figs / "summary.json", figs / "fig6.csv")}
+        assert digests == {
+            "verdicts.jsonl": "6031e5610f6ddfa3f1a63a56957fa1b3f2c049d53b17648e2d214cd9013099c7",
+            "summary.json": "ab143be61403f0cc6e5f2c5fc66246b72023a42903dc570fd00516593dc772bf",
+            "fig6.csv": "2f866ebb63724ab1e5078de8ec2b74028b12ce5683b4b4b840000a6069a88f68",
+        }
 
 
 class TestFetch:

@@ -80,6 +80,16 @@ class TestParseJsonl:
         _, report = parse_jsonl(_jsonl([VALID_LINE, bad]))
         assert report.rejects == [(2, "EmptyUserId")]
 
+    def test_non_string_ids_rejected(self):
+        base = json.loads(VALID_LINE)
+        null_user = json.dumps({**base, "user_id": None})
+        int_video = json.dumps({**base, "video_id": 7})
+        records, report = parse_jsonl(_jsonl([VALID_LINE, null_user, VALID_LINE, int_video,
+                                              VALID_LINE]))
+        assert len(records) == 3
+        assert report.accepted == 3
+        assert report.rejects == [(2, "ValidationError"), (4, "ValidationError")]
+
     def test_neighbor_damage_isolation(self):
         lines = [VALID_LINE, "junk", VALID_LINE, "junk", VALID_LINE]
         records, report = parse_jsonl(_jsonl(lines))
@@ -212,6 +222,22 @@ class TestCache:
         assert cache_get(tmp_path, "u1") == log2
         # no temp droppings left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u1.jsonl"]
+
+    @pytest.mark.parametrize("user_id", ["../escape", "a/b", "50%/x"])
+    def test_user_id_stays_inside_directory(self, tmp_path, user_id):
+        cache_dir = tmp_path / "cache"
+        log = build_log(user_id, [make_record(user=user_id, ts=1, cid="c1")])
+        path = cache_put(cache_dir, log)
+        assert path.parent == cache_dir
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        assert [p.name for p in cache_dir.iterdir()] == [path.name]
+        assert cache_get(cache_dir, user_id) == log
+
+    def test_corrupt_entry_raises(self, tmp_path):
+        cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+        (tmp_path / "u1.jsonl").write_text("not json\n{\"user_id\": null}\n")
+        with pytest.raises(AllLinesRejected):
+            cache_get(tmp_path, "u1")
 
 
 class TestFetchFromDirectory:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spamminer.model import (
+    CommentRecord,
     ConfigError,
     EmptyUserId,
     EmptyVideoId,
@@ -27,7 +28,6 @@ from spamminer.model import (
     parse_rfc3339,
     record_to_json,
     rule_config_from_obj,
-    validate_record,
 )
 
 from helpers import make_record
@@ -35,7 +35,7 @@ from helpers import make_record
 
 class TestValidateRecord:
     def test_well_formed(self):
-        rec = validate_record("u1", "v1", 100, text="hi", has_spam_hint=False)
+        rec = CommentRecord("u1", "v1", 100, text="hi", has_spam_hint=False)
         assert rec.user_id == "u1"
         assert rec.video_id == "v1"
         assert rec.timestamp_s == 100
@@ -44,28 +44,28 @@ class TestValidateRecord:
         assert rec.comment_id is None
 
     def test_trims_identifiers(self):
-        rec = validate_record("  u1 ", " v1\t", 0)
+        rec = CommentRecord("  u1 ", " v1\t", 0)
         assert rec.user_id == "u1"
         assert rec.video_id == "v1"
 
     def test_empty_user_id(self):
         with pytest.raises(EmptyUserId):
-            validate_record("", "v1", 100)
+            CommentRecord("", "v1", 100)
 
     def test_whitespace_user_id(self):
         with pytest.raises(EmptyUserId):
-            validate_record("   ", "v1", 100)
+            CommentRecord("   ", "v1", 100)
 
     def test_empty_video_id(self):
         with pytest.raises(EmptyVideoId):
-            validate_record("u1", "", 100)
+            CommentRecord("u1", "", 100)
 
     def test_negative_timestamp(self):
         with pytest.raises(NegativeTimestamp):
-            validate_record("u1", "v1", -5)
+            CommentRecord("u1", "v1", -5)
 
     def test_zero_timestamp_allowed(self):
-        assert validate_record("u1", "v1", 0).timestamp_s == 0
+        assert CommentRecord("u1", "v1", 0).timestamp_s == 0
 
 
 class TestBuildLog:
@@ -218,7 +218,6 @@ class TestRuleConfig:
         assert cfg.atdc_lt_s == 150.0
         assert cfg.comovp_gt == 0.60
         assert cfg.vidovp_gt == 0.60
-        assert cfg.combine == "or"
 
     def test_from_obj(self):
         cfg = rule_config_from_obj({"min_comments": 3, "pchf_gt": 50})
@@ -240,7 +239,8 @@ class TestRuleConfig:
 
     def test_bad_combine(self):
         with pytest.raises(ConfigError):
-            RuleConfig(combine="and")
+            rule_config_from_obj({"combine": "and"})
+        assert rule_config_from_obj({"combine": "OR"}) == RuleConfig()
 
 
 class TestVerdictInvariants:
