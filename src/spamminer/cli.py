@@ -155,6 +155,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 ingest.AllLinesRejected, OSError) as exc:
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
+        for line_no, error_name in result.rejects:
+            _warn(f"{ingest.user_file(args.endpoint, user_id)}:{line_no}: "
+                  f"rejected line ({error_name})")
         if result.truncated:
             _warn(f"log for {user_id!r} truncated at {args.page_limit} pages")
         ingest.cache_put(args.cache, result.log)

@@ -13,7 +13,7 @@ directory of files can stand in for a real comment-activity API:
         -> 404 when the user is unknown
 
 next_page_token is absent on the final page. A directory endpoint serves
-one JSONL file per user instead, in the cache layout (see _user_file).
+one JSONL file per user instead, in the cache layout (see user_file).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 from urllib.parse import quote, urlencode
-
-import requests
 
 from .model import (
     CommentRecord,
@@ -48,7 +46,7 @@ class ParseError(ValueError):
 
 
 class MissingHeader(ValueError):
-    """A CSV input lacks one or more required header columns."""
+    """A CSV input lacks one or more required header columns, or its header is not UTF-8."""
 
 
 class AllLinesRejected(ValueError):
@@ -102,9 +100,7 @@ class IngestReport:
         self.rejects.append((line_no, error_name))
 
 
-def _text_lines(stream: IO | Iterable) -> Iterator[str]:
-    for line in stream:
-        yield line.decode("utf-8") if isinstance(line, bytes) else line
+_decode_json = json.JSONDecoder().decode
 
 
 def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
@@ -116,21 +112,19 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
     """
     records: list[CommentRecord] = []
     report = IngestReport()
-    for line_no, line in enumerate(_text_lines(stream), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in enumerate(stream, start=1):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            report.reject(line_no, "ParseError")
-            continue
-        try:
-            records.append(decode_record(obj))
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            rec = decode_record(_decode_json(line))
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
-        except ValueError:
+        except ValueError:  # not UTF-8, not JSON, or a bad published_at
             report.reject(line_no, "ParseError")
         else:
+            records.append(rec)
             report.accepted += 1
     if report.rejected and not report.accepted:
         raise AllLinesRejected(report)
@@ -154,14 +148,17 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     The first row must be a header containing at least user_id, video_id,
     published_at, text, and has_spam_hint (comment_id is optional); quoted
     fields may contain commas and newlines. Raises MissingHeader when a
-    required column is absent. Reject line numbers refer to physical lines
-    in the file, as with JSONL.
+    required column is absent or the header is not UTF-8. Reject line
+    numbers refer to physical lines in the file, as with JSONL.
     """
-    reader = csv.reader(_text_lines(stream))
+    not_utf8: list[int] = []
+    reader = csv.reader(_csv_lines(stream, not_utf8))
     try:
         header = next(reader)
     except StopIteration:
         return [], IngestReport()
+    if not_utf8:
+        raise MissingHeader("header line is not UTF-8")
     columns = [name.strip() for name in header]
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
     if missing:
@@ -183,6 +180,10 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
+            # The reader reads no line past the row, so a non-UTF-8 line
+            # numbered line_no or later lies inside it.
+            if not_utf8 and not_utf8[-1] >= line_no:
+                raise ParseError(f"line {not_utf8[-1]} is not UTF-8")
             if len(row) < len(columns):
                 raise ParseError(f"row has {len(row)} fields, expected {len(columns)}")
             comment_id = row[index["comment_id"]].strip() if has_comment_id else ""
@@ -203,6 +204,22 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     if report.rejected and not report.accepted:
         raise AllLinesRejected(report)
     return records, report
+
+
+def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
+    """Yield each physical line as text; append the number of each non-UTF-8 line to not_utf8.
+
+    Such a line is yielded with replacement characters, so the CSV reader
+    keeps its place, and parse_csv rejects the row that spans it.
+    """
+    for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                not_utf8.append(line_no)
+                line = line.decode("utf-8", "replace")
+        yield line
 
 
 def _parse_published_at(raw: str) -> int:
@@ -228,10 +245,15 @@ RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class FetchResult:
-    """A fetched log plus whether the page limit truncated it."""
+    """A fetched log plus whether the page limit truncated it.
+
+    rejects holds (line number, error name) for every line of a directory
+    endpoint's file that did not parse, as in IngestReport.rejects.
+    """
 
     log: UserActivityLog
     truncated: bool = False
+    rejects: tuple[tuple[int, str], ...] = ()
 
 
 def _decode_page(body: bytes, page_token: str | None) -> FeedPage:
@@ -261,6 +283,8 @@ def _get_page(
     url = f"{base_url.rstrip('/')}/users/{quote(user_id, safe='')}/comments"
     if page_token is not None:
         url += "?" + urlencode({"page_token": page_token})
+    import requests  # imported here: only the HTTP feed needs it, and it is slow to import
+
     # One initial attempt plus one retry per backoff step; 404 is definitive
     # and never retried, transport errors and 5xx are.
     last_error: Exception | None = None
@@ -305,10 +329,11 @@ def fetch_user_log(
         raise ValueError(f"page_limit must be positive: {page_limit}")
     endpoint_str = os.fspath(endpoint)
     if not endpoint_str.startswith(("http://", "https://")):
-        log = cache_get(endpoint_str, user_id)
-        if log is None:
+        loaded = _read_user_file(endpoint_str, user_id)
+        if loaded is None:
             raise UserNotFound(f"no log file for user {user_id!r} in {endpoint_str}")
-        return FetchResult(log=log)
+        log, report = loaded
+        return FetchResult(log=log, rejects=tuple(report.rejects))
 
     records: list[CommentRecord] = []
     token: str | None = None
@@ -326,7 +351,7 @@ def fetch_user_log(
 
 # --- on-disk cache ---------------------------------------------------------
 
-def _user_file(directory: str | os.PathLike, user_id: str) -> Path:
+def user_file(directory: str | os.PathLike, user_id: str) -> Path:
     """{directory}/{percent-encoded user_id}.jsonl: always a direct child of directory."""
     return Path(directory) / (quote(user_id, safe="") + ".jsonl")
 
@@ -339,7 +364,7 @@ def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    target = _user_file(directory, log.user_id)
+    target = user_file(directory, log.user_id)
     payload = "".join(record_to_json(rec) + "\n" for rec in log.records)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
     try:
@@ -361,9 +386,17 @@ def cache_get(directory: str | os.PathLike, user_id: str) -> UserActivityLog | N
     Raises AllLinesRejected when the file has lines but none of them parse,
     so a corrupt entry is never mistaken for an empty log.
     """
-    path = _user_file(directory, user_id)
+    loaded = _read_user_file(directory, user_id)
+    return None if loaded is None else loaded[0]
+
+
+def _read_user_file(
+    directory: str | os.PathLike, user_id: str
+) -> tuple[UserActivityLog, IngestReport] | None:
+    """cache_get, plus the IngestReport of the file's lines."""
+    path = user_file(directory, user_id)
     if not path.is_file():
         return None
     with open(path, "rb") as fh:
-        records, _report = parse_jsonl(fh)
-    return build_log(user_id, records)
+        records, report = parse_jsonl(fh)
+    return build_log(user_id, records), report

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -49,15 +50,8 @@ class ConfigError(ValueError):
     """A rule configuration file is malformed or carries unknown keys."""
 
 
-@dataclass(frozen=True)
-class CommentRecord:
-    """One comment event: who commented on what, when, and what they wrote.
-
-    user_id and video_id are trimmed on construction and must be non-empty.
-    timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
-    comment_id is optional; when present it is expected to be unique within
-    one user's log (build_log enforces this by deduplication).
-    """
+class _CommentRecordFields(NamedTuple):
+    """The fields of CommentRecord, in order; build records through CommentRecord."""
 
     user_id: str
     video_id: str
@@ -66,16 +60,44 @@ class CommentRecord:
     has_spam_hint: bool = False
     comment_id: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "user_id", self.user_id.strip())
-        object.__setattr__(self, "video_id", self.video_id.strip())
-        object.__setattr__(self, "timestamp_s", int(self.timestamp_s))
-        if not self.user_id:
+
+class CommentRecord(_CommentRecordFields):
+    """One comment event: who commented on what, when, and what they wrote.
+
+    user_id and video_id are trimmed on construction and must be non-empty.
+    timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
+    comment_id is optional; when present it is expected to be unique within
+    one user's log (build_log enforces this by deduplication).
+
+    A tuple underneath: immutable, hashable, equal by value, and validated
+    once, here, however it is built (_replace goes through _make).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        user_id: str,
+        video_id: str,
+        timestamp_s: int,
+        text: str = "",
+        has_spam_hint: bool = False,
+        comment_id: str | None = None,
+    ) -> CommentRecord:
+        user_id = user_id.strip()
+        video_id = video_id.strip()
+        timestamp_s = int(timestamp_s)
+        if not user_id:
             raise EmptyUserId("user_id is empty")
-        if not self.video_id:
+        if not video_id:
             raise EmptyVideoId("video_id is empty")
-        if self.timestamp_s < 0:
-            raise NegativeTimestamp(f"timestamp_s is negative: {self.timestamp_s}")
+        if timestamp_s < 0:
+            raise NegativeTimestamp(f"timestamp_s is negative: {timestamp_s}")
+        return tuple.__new__(cls, (user_id, video_id, timestamp_s, text, has_spam_hint, comment_id))
+
+    @classmethod
+    def _make(cls, iterable) -> CommentRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -263,15 +285,26 @@ class Verdict:
 
 # --- timestamp wire format -------------------------------------------------
 
+# YYYY-MM-DD(T|t)HH:MM:SS[.digits][Z|z|±HH:MM], ASCII digits only; groups are
+# the date, the time and the numeric offset.
+_RFC3339 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
+    r"(?:[Zz]|([+-][0-9]{2}:[0-5][0-9]))?"
+)
+
+
 def parse_rfc3339(value: str) -> int:
     """Parse an RFC3339 timestamp into epoch seconds, truncating sub-seconds.
 
-    A missing UTC offset is taken as UTC.
+    A missing UTC offset is taken as UTC. Anything but the layout above
+    raises ValueError, as does an out-of-range field or an offset of 24h or
+    more (datetime checks those).
     """
-    dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.replace(microsecond=0).timestamp())
+    match = _RFC3339.fullmatch(value)
+    if match is None:
+        raise ValueError(f"not an RFC3339 timestamp: {value!r}")
+    date, time, offset = match.groups()
+    return int(datetime.fromisoformat(f"{date}T{time}{offset or '+00:00'}").timestamp())
 
 
 def format_rfc3339(timestamp_s: int) -> str:
@@ -306,11 +339,9 @@ def decode_record(obj: dict) -> CommentRecord:
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"expected JSON object, got {type(obj).__name__}")
-    for key in ("user_id", "video_id", "published_at"):
-        if key not in obj:
-            raise ValidationError(f"missing field {key!r}")
-        if not isinstance(obj[key], str):
-            raise ValidationError(f"{key} must be a string")
+    user_id = _required_str(obj, "user_id")
+    video_id = _required_str(obj, "video_id")
+    published_at = _required_str(obj, "published_at")
     comment_id = obj.get("comment_id")
     if comment_id is not None and not isinstance(comment_id, str):
         raise ValidationError("comment_id must be a string")
@@ -320,14 +351,16 @@ def decode_record(obj: dict) -> CommentRecord:
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise ValidationError("text must be a string")
-    return CommentRecord(
-        user_id=obj["user_id"],
-        video_id=obj["video_id"],
-        timestamp_s=parse_rfc3339(obj["published_at"]),
-        text=text,
-        has_spam_hint=hint,
-        comment_id=comment_id,
-    )
+    return CommentRecord(user_id, video_id, parse_rfc3339(published_at), text, hint, comment_id)
+
+
+def _required_str(obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if isinstance(value, str):
+        return value
+    if value is None and key not in obj:
+        raise ValidationError(f"missing field {key!r}")
+    raise ValidationError(f"{key} must be a string")
 
 
 def encode_features(fv: FeatureVector) -> dict:

@@ -12,6 +12,7 @@ import json
 import random
 import threading
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -60,6 +61,21 @@ def brute_pair_counts(items, predicate) -> tuple[int, int]:
 def brute_pair_fraction(items, predicate) -> float:
     hits, total = brute_pair_counts(items, predicate)
     return hits / total if total else 0.0
+
+
+# --- reference timestamp parser --------------------------------------------
+
+def reference_parse_rfc3339(value: str) -> int:
+    """The earlier datetime.fromisoformat-based parser, kept as an oracle.
+
+    It accepts more than RFC3339 and what it accepts depends on the Python
+    version, so compare against it only on spellings both versions accept:
+    `T`, `Z` or a numeric offset, and 3 or 6 fraction digits.
+    """
+    dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.replace(microsecond=0).timestamp())
 
 
 # --- random log suite -------------------------------------------------------

@@ -113,6 +113,14 @@ class TestScore:
         assert code == EXIT_OK
         assert "rejected" in capsys.readouterr().err
 
+    def test_non_utf8_line_is_warning(self, corpus_path, tmp_path, capsys):
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(lines[0] + b"\xff\n" + b"".join(lines[1:]))
+        code = main(["score", "--input", str(mixed), "--output", str(tmp_path / "o.jsonl")])
+        assert code == EXIT_OK
+        assert f"{mixed}:2: rejected line (ParseError)" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         code = main(["score", "--input", str(tmp_path / "absent.jsonl"),
                      "--output", str(tmp_path / "o.jsonl")])
@@ -167,6 +175,21 @@ class TestFetch:
         assert code == EXIT_OK  # partial failure tolerated
         assert sorted(p.name for p in cache_dir.iterdir()) == ["alice.jsonl", "bob.jsonl"]
         assert "missing" in capsys.readouterr().err
+
+    def test_directory_endpoint_partial_rejects(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
+        (feed_dir / "alice.jsonl").write_text(good + "\n{bad\n")
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert len(ingest.cache_get(cache_dir, "alice")) == 1
+        err = capsys.readouterr().err
+        assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (ParseError)" in err
 
     def test_all_users_fail(self, tmp_path):
         feed_dir = tmp_path / "feed"

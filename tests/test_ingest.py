@@ -100,6 +100,13 @@ class TestParseJsonl:
         records, _ = parse_jsonl(io.StringIO(VALID_LINE + "\n"))
         assert len(records) == 1
 
+    def test_non_utf8_line_rejected_in_place(self):
+        good = (VALID_LINE + "\n").encode("utf-8")
+        stream = io.BytesIO(good + b'{"user_id": "u\xff"}\n' + good)
+        records, report = parse_jsonl(stream)
+        assert len(records) == 2
+        assert report.rejects == [(2, "ParseError")]
+
 
 class TestRoundTrip:
     def test_serialize_parse_build_identity(self):
@@ -135,6 +142,12 @@ class TestParseCsv:
     def test_missing_required_column(self):
         with pytest.raises(MissingHeader, match="video_id"):
             parse_csv(_csv(["user_id,published_at,text,has_spam_hint", "u1,t,x,1"]))
+
+    def test_non_utf8_header_rejected(self):
+        stream = io.BytesIO(CSV_HEADER.encode("utf-8") + b",note\xff\n"
+                            b"u1,c1,v1,2021-01-01T00:00:00Z,x,false,n\n")
+        with pytest.raises(MissingHeader, match="UTF-8"):
+            parse_csv(stream)
 
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("false", False), ("1", True), ("0", False),
@@ -180,6 +193,17 @@ class TestParseCsv:
         records, report = parse_csv(_csv([CSV_HEADER]))
         assert records == []
         assert report.accepted == 0
+
+    def test_non_utf8_lines_rejected_in_place(self):
+        stream = io.BytesIO(
+            (CSV_HEADER + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n").encode("utf-8")
+            + b"u1,c2,v1,2021-01-01T00:00:00Z,\xff,false\n"
+            + b'u1,c3,v1,2021-01-01T00:00:00Z,"two\nlines \xff",false\n'
+            + b"u1,c4,v1,2021-01-01T00:00:00Z,y,false\n"
+        )
+        records, report = parse_csv(stream)
+        assert [rec.comment_id for rec in records] == ["c1", "c4"]
+        assert report.rejects == [(3, "ParseError"), (4, "ParseError")]
 
 
 class TestGroupByUser:
@@ -251,6 +275,12 @@ class TestFetchFromDirectory:
     def test_missing_user(self, tmp_path):
         with pytest.raises(UserNotFound):
             fetch_user_log(tmp_path, "nobody")
+
+    def test_partial_rejects_reported(self, tmp_path):
+        (tmp_path / "u1.jsonl").write_text(VALID_LINE + "\n{bad\n")
+        result = fetch_user_log(tmp_path, "u1")
+        assert len(result.log) == 1
+        assert result.rejects == ((2, "ParseError"),)
 
 
 class TestFetchHttp:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from collections import Counter
+from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +34,7 @@ from spamminer.model import (
     rule_config_from_obj,
 )
 
-from helpers import make_record
+from helpers import make_record, reference_parse_rfc3339
 
 
 class TestValidateRecord:
@@ -66,6 +70,16 @@ class TestValidateRecord:
 
     def test_zero_timestamp_allowed(self):
         assert CommentRecord("u1", "v1", 0).timestamp_s == 0
+
+    def test_immutable_and_hashable_by_value(self):
+        rec = CommentRecord("u1", "v1", 100, text="hi", comment_id="c1")
+        with pytest.raises(AttributeError):
+            rec.user_id = "u2"
+        assert len({rec, CommentRecord(" u1", "v1 ", 100, text="hi", comment_id="c1")}) == 1
+
+    def test_replace_validates(self):
+        with pytest.raises(EmptyVideoId):
+            CommentRecord("u1", "v1", 100)._replace(video_id=" ")
 
 
 class TestBuildLog:
@@ -158,6 +172,55 @@ class TestTimestamps:
     @given(st.integers(min_value=0, max_value=4_000_000_000))
     def test_round_trip(self, ts):
         assert parse_rfc3339(format_rfc3339(ts)) == ts
+
+    @pytest.mark.parametrize("value", [
+        "2021-06-01",  # date only
+        "2021-W22-2",  # ISO week date
+        "20210601T120000",  # basic format
+        "2021-06-01 12:00:00Z",  # space separator
+        "2021-06-01T12Z",  # hour only
+    ])
+    def test_rejects_non_rfc3339_layouts(self, value):
+        with pytest.raises(ValueError):
+            parse_rfc3339(value)
+
+    @pytest.mark.parametrize("value", [
+        "2021-06-01T24:00:00Z",
+        "2021-06-01T12:00:60Z",
+        "2021-02-29T12:00:00Z",
+        "2021-13-01T12:00:00Z",
+        "2021-06-01T12:00:00+24:00",
+        "2021-06-01T12:00:00+01:60",
+        "\u0662021-06-01T12:00:00Z",  # a non-ASCII digit
+        "2021-06-01T12:00:00Zjunk",
+    ])
+    def test_rejects_out_of_range_or_trailing(self, value):
+        with pytest.raises(ValueError):
+            parse_rfc3339(value)
+
+    @given(
+        st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+        st.text("0123456789", max_size=9),
+        st.one_of(st.sampled_from(["", "Z", "z"]),
+                  st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"),
+                            st.integers(0, 23), st.integers(0, 59))),
+        st.sampled_from("Tt"),
+    )
+    def test_matches_reference_parser(self, local, fraction, offset, sep):
+        date, time = local.isoformat(timespec="seconds").split("T")
+        value = f"{date}{sep}{time}{'.' + fraction if fraction else ''}{offset}"
+        # The same instant in a spelling the reference accepts on every version.
+        canonical = (f"{date}T{time}{'.' + fraction.ljust(6, '0')[:6] if fraction else ''}"
+                     f"{offset.upper()}")
+        assert parse_rfc3339(value) == reference_parse_rfc3339(canonical)
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    src = Path(__import__("spamminer").__file__).parents[1]
+    code = "import sys, spamminer.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestRecordWireFormat:
