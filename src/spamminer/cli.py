@@ -114,8 +114,9 @@ def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
         _warn(f"{args.input}:{line_no}: rejected line ({error_name})")
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return [features.feature_vector(log, args.normalization)
-            for log in ingest.group_by_user(records)]
+    logs = ingest.group_by_user(records)
+    del records  # the logs hold every record; drop the flat list before the features
+    return [features.feature_vector(log, args.normalization) for log in logs]
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:

@@ -259,7 +259,7 @@ class FetchResult:
 def _decode_page(body: bytes, page_token: str | None) -> FeedPage:
     try:
         obj = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedPage(f"invalid JSON: {exc}", page_token) from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("comments"), list):
         raise MalformedPage("body is not a feed page object", page_token)

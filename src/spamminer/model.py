@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -64,7 +65,9 @@ class _CommentRecordFields(NamedTuple):
 class CommentRecord(_CommentRecordFields):
     """One comment event: who commented on what, when, and what they wrote.
 
-    user_id and video_id are trimmed on construction and must be non-empty.
+    user_id and video_id are trimmed on construction and must be non-empty;
+    they are interned, so all records of one user (or one video) share one
+    string object.
     timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
     comment_id is optional; when present it is expected to be unique within
     one user's log (build_log enforces this by deduplication).
@@ -84,8 +87,8 @@ class CommentRecord(_CommentRecordFields):
         has_spam_hint: bool = False,
         comment_id: str | None = None,
     ) -> CommentRecord:
-        user_id = user_id.strip()
-        video_id = video_id.strip()
+        user_id = sys.intern(user_id.strip())
+        video_id = sys.intern(video_id.strip())
         timestamp_s = int(timestamp_s)
         if not user_id:
             raise EmptyUserId("user_id is empty")
@@ -100,7 +103,7 @@ class CommentRecord(_CommentRecordFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserActivityLog:
     """One user's recent comment records, ascending by timestamp.
 
@@ -112,16 +115,15 @@ class UserActivityLog:
 
     def __post_init__(self) -> None:
         seen_ids: set[str] = set()
-        for rec in self.records:
-            if rec.user_id != self.user_id:
-                raise MixedUsers(
-                    f"record for {rec.user_id!r} in log of {self.user_id!r}"
-                )
-            if rec.comment_id is not None:
-                if rec.comment_id in seen_ids:
-                    raise ValueError(f"duplicate comment_id {rec.comment_id!r}")
-                seen_ids.add(rec.comment_id)
-        times = [rec.timestamp_s for rec in self.records]
+        times: list[int] = []
+        for uid, _, ts, _, _, cid in self.records:
+            if uid != self.user_id:
+                raise MixedUsers(f"record for {uid!r} in log of {self.user_id!r}")
+            if cid is not None:
+                if cid in seen_ids:
+                    raise ValueError(f"duplicate comment_id {cid!r}")
+                seen_ids.add(cid)
+            times.append(ts)
         if times != sorted(times):
             raise ValueError("records are not sorted by timestamp_s")
 
@@ -149,7 +151,7 @@ def build_log(user_id: str, records: list[CommentRecord]) -> UserActivityLog:
     return UserActivityLog(user_id=user_id, records=tuple(deduped))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Per-user values of the usage-based spam indicators.
 
@@ -269,7 +271,7 @@ class RuleConfig:
                 raise ConfigError(f"{name} out of range [0, 1]: {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Classification of one user, with the indicators that fired."""
 

@@ -110,6 +110,7 @@ def random_log_suite(seed: int, count: int, n_max: int = 50) -> list[UserActivit
 class MockUser:
     pages: list[list[dict]]
     malformed_pages: set[int] = field(default_factory=set)
+    raw_pages: dict[int, bytes] = field(default_factory=dict)  # bodies served as-is
     fail_first: int = 0  # number of HTTP 500s to serve before succeeding
 
 
@@ -153,6 +154,8 @@ class _FeedHandler(BaseHTTPRequestHandler):
         page_idx = 0 if token is None else int(token.removeprefix("p"))
         if page_idx in user.malformed_pages:
             body = b"{this is not a feed page"
+        elif page_idx in user.raw_pages:
+            body = user.raw_pages[page_idx]
         else:
             page_obj: dict = {"comments": user.pages[page_idx]}
             if page_idx + 1 < len(user.pages):

@@ -19,7 +19,7 @@ from spamminer.cli import (
 from spamminer.model import record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
-from helpers import make_record
+from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_record
 
 
 @pytest.fixture
@@ -190,6 +190,23 @@ class TestFetch:
         assert len(ingest.cache_get(cache_dir, "alice")) == 1
         err = capsys.readouterr().err
         assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (ParseError)" in err
+
+    def test_non_utf8_feed_page_is_a_warning(self, tmp_path, capsys):
+        feed = MockFeed(users={
+            "alice": MockUser(pages=[feed_page_records("alice", 0, 3)]),
+            "bob": MockUser(pages=[[]], raw_pages={0: b'{"comments": [], "x": "\xff"}'}),
+        })
+        users = tmp_path / "users.txt"
+        users.write_text("alice\nbob\n")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(cache_dir)])
+        assert code == EXIT_OK  # one failed user is a warning
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["alice.jsonl"]
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': initial page: invalid JSON" in err
+        assert "fetched 1/2 users" in err
 
     def test_all_users_fail(self, tmp_path):
         feed_dir = tmp_path / "feed"

@@ -14,6 +14,7 @@ from spamminer.ingest import (
     MalformedPage,
     MissingHeader,
     UserNotFound,
+    _decode_page,
     cache_get,
     cache_put,
     fetch_user_log,
@@ -106,6 +107,17 @@ class TestParseJsonl:
         records, report = parse_jsonl(stream)
         assert len(records) == 2
         assert report.rejects == [(2, "ParseError")]
+
+    @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
+    def test_records_share_id_strings(self, user_id):
+        lines = [json.dumps({
+            "user_id": user_id, "video_id": "video-9", "comment_id": f"c{i}",
+            "published_at": "2021-01-01T00:00:00Z",
+        }) for i in range(2)]
+        (first, second), _ = parse_jsonl(_jsonl(lines))
+        assert first.user_id == "user-1"
+        assert first.user_id is second.user_id
+        assert first.video_id is second.video_id
 
 
 class TestRoundTrip:
@@ -205,6 +217,18 @@ class TestParseCsv:
         assert [rec.comment_id for rec in records] == ["c1", "c4"]
         assert report.rejects == [(3, "ParseError"), (4, "ParseError")]
 
+    @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
+    def test_records_share_id_strings(self, user_id):
+        stream = _csv([
+            CSV_HEADER,
+            f"{user_id},c1,video-9,2021-01-01T00:00:00Z,hello,false",
+            f"{user_id},c2,video-9,2021-01-01T00:01:00Z,bye,false",
+        ])
+        (first, second), _ = parse_csv(stream)
+        assert first.user_id == "user-1"
+        assert first.user_id is second.user_id
+        assert first.video_id is second.video_id
+
 
 class TestGroupByUser:
     def test_groups_and_sorts(self):
@@ -281,6 +305,13 @@ class TestFetchFromDirectory:
         result = fetch_user_log(tmp_path, "u1")
         assert len(result.log) == 1
         assert result.rejects == ((2, "ParseError"),)
+
+
+class TestDecodePage:
+    def test_non_utf8_body_is_malformed(self):
+        with pytest.raises(MalformedPage, match="page token 'p3'") as excinfo:
+            _decode_page(b'{"comments": [], "x": "\xff"}', "p3")
+        assert excinfo.value.page_token == "p3"
 
 
 class TestFetchHttp:

@@ -116,6 +116,33 @@ class TestBuildLog:
         with pytest.raises(ValueError):
             UserActivityLog("u1", (make_record(ts=10), make_record(ts=5)))
 
+    def test_direct_construction_checks_duplicates(self):
+        with pytest.raises(ValueError, match="duplicate comment_id 'c7'"):
+            UserActivityLog("u1", (make_record(ts=1, cid="c7"), make_record(ts=2, cid="c7")))
+
+    def test_direct_construction_checks_owner(self):
+        records = (make_record(ts=1), make_record(user="u2", ts=2), make_record(user="u3", ts=3))
+        with pytest.raises(MixedUsers, match="'u2' in log of 'u1'"):
+            UserActivityLog("u1", records)
+
+    def test_direct_construction_names_first_fault(self):
+        dup_first = (make_record(ts=1, cid="c1"), make_record(ts=2, cid="c1"),
+                     make_record(user="u2", ts=3))
+        with pytest.raises(ValueError, match="duplicate comment_id 'c1'") as excinfo:
+            UserActivityLog("u1", dup_first)
+        assert not isinstance(excinfo.value, MixedUsers)
+        foreign_first = (make_record(ts=1, cid="c1"), make_record(user="u2", ts=2),
+                         make_record(ts=3, cid="c1"))
+        with pytest.raises(MixedUsers):
+            UserActivityLog("u1", foreign_first)
+
+    def test_value_types_have_no_instance_dict(self):
+        log = build_log("u1", [make_record(ts=1)])
+        fv = FeatureVector("u1", 1, None, 0.0, 0.0, 0.0, 0.0)
+        verdict = Verdict("u1", Label.LEGIT, frozenset(), fv)
+        for obj in (log, fv, verdict):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
 
 record_rows = st.lists(
     st.tuples(
@@ -242,6 +269,15 @@ class TestRecordWireFormat:
         rec = decode_record(obj)
         assert rec.text == ""
         assert rec.has_spam_hint is False
+
+    @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
+    def test_decoded_records_share_id_strings(self, user_id):
+        line = json.dumps({"user_id": user_id, "video_id": "video-9",
+                           "published_at": "1970-01-01T00:00:00Z"})
+        first, second = decode_record(json.loads(line)), decode_record(json.loads(line))
+        assert first.user_id == "user-1"
+        assert first.user_id is second.user_id
+        assert first.video_id is second.video_id
 
     def test_decode_missing_field(self):
         with pytest.raises(ValueError):
