@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import classifier, features, ingest, report, synth
@@ -21,7 +22,9 @@ from .model import (
     CLAUSES,
     ConfigError,
     FeatureVector,
+    MixedUsers,
     RuleConfig,
+    build_log,
     load_rule_config,
     verdict_to_json,
 )
@@ -106,17 +109,33 @@ def _load_config(path: str | None) -> RuleConfig:
 
 
 def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
-    """Parse --input, group it by user and compute each user's feature vector."""
-    parse = ingest.parse_jsonl if args.format == "jsonl" else ingest.parse_csv
+    """Parse --input and compute each user's feature vector, sorted by user_id.
+
+    A file that keeps each user's records in one contiguous run is scored one
+    user at a time, as each run ends; only the feature vectors are kept.
+    Another file is read a second time and grouped whole. A pipe cannot be
+    read twice, so it is grouped whole at once.
+    """
+    records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
     with open(args.input, "rb") as fh:
-        records, rep = parse(fh)
+        rep = ingest.IngestReport()
+        fvs = None
+        if fh.seekable():
+            try:
+                fvs = [features.feature_vector(build_log(user_id, run), args.normalization)
+                       for user_id, run in ingest.user_runs(records_of(fh, rep))]
+                fvs.sort(key=attrgetter("user_id"))
+            except ingest.NotGrouped:
+                fh.seek(0)
+                rep = ingest.IngestReport()
+        if fvs is None:
+            fvs = [features.feature_vector(log, args.normalization)
+                   for log in ingest.group_by_user(records_of(fh, rep))]
     for line_no, error_name in rep.rejects:
         _warn(f"{args.input}:{line_no}: rejected line ({error_name})")
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    logs = ingest.group_by_user(records)
-    del records  # the logs hold every record; drop the flat list before the features
-    return [features.feature_vector(log, args.normalization) for log in logs]
+    return fvs
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
@@ -153,7 +172,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         try:
             result = ingest.fetch_user_log(args.endpoint, user_id, args.page_limit)
         except (ingest.UserNotFound, ingest.MalformedPage, ingest.EndpointUnreachable,
-                ingest.AllLinesRejected, OSError) as exc:
+                ingest.AllLinesRejected, MixedUsers, OSError) as exc:
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
         for line_no, error_name in result.rejects:

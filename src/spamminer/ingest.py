@@ -26,6 +26,8 @@ import tempfile
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 from urllib.parse import quote, urlencode
@@ -110,8 +112,16 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
     the stream. Raises AllLinesRejected when the input had lines but none
     parsed.
     """
-    records: list[CommentRecord] = []
     report = IngestReport()
+    return list(iter_jsonl(stream, report)), report
+
+
+def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+    """parse_jsonl, one record at a time: yield each record, tally every line in report.
+
+    Raises AllLinesRejected when the stream is exhausted with lines but no
+    record.
+    """
     for line_no, line in enumerate(stream, start=1):
         try:
             if isinstance(line, bytes):
@@ -124,11 +134,10 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
         except ValueError:  # not UTF-8, not JSON, or a bad published_at
             report.reject(line_no, "ParseError")
         else:
-            records.append(rec)
             report.accepted += 1
+            yield rec
     if report.rejected and not report.accepted:
         raise AllLinesRejected(report)
-    return records, report
 
 
 CSV_REQUIRED_COLUMNS = ("user_id", "video_id", "published_at", "text", "has_spam_hint")
@@ -151,12 +160,21 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     required column is absent or the header is not UTF-8. Reject line
     numbers refer to physical lines in the file, as with JSONL.
     """
+    report = IngestReport()
+    return list(iter_csv(stream, report)), report
+
+
+def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+    """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl.
+
+    MissingHeader is raised when the first record is asked for.
+    """
     not_utf8: list[int] = []
     reader = csv.reader(_csv_lines(stream, not_utf8))
     try:
         header = next(reader)
     except StopIteration:
-        return [], IngestReport()
+        return
     if not_utf8:
         raise MissingHeader("header line is not UTF-8")
     columns = [name.strip() for name in header]
@@ -166,8 +184,6 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     index = {name: columns.index(name) for name in columns}
     has_comment_id = "comment_id" in index
 
-    records: list[CommentRecord] = []
-    report = IngestReport()
     while True:
         line_no = reader.line_num + 1
         try:
@@ -187,23 +203,21 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
             if len(row) < len(columns):
                 raise ParseError(f"row has {len(row)} fields, expected {len(columns)}")
             comment_id = row[index["comment_id"]].strip() if has_comment_id else ""
-            records.append(
-                CommentRecord(
-                    user_id=row[index["user_id"]],
-                    video_id=row[index["video_id"]],
-                    timestamp_s=_parse_published_at(row[index["published_at"]]),
-                    text=row[index["text"]],
-                    has_spam_hint=_parse_flag(row[index["has_spam_hint"]]),
-                    comment_id=comment_id or None,
-                )
+            rec = CommentRecord(
+                user_id=row[index["user_id"]],
+                video_id=row[index["video_id"]],
+                timestamp_s=_parse_published_at(row[index["published_at"]]),
+                text=row[index["text"]],
+                has_spam_hint=_parse_flag(row[index["has_spam_hint"]]),
+                comment_id=comment_id or None,
             )
         except (ParseError, ValidationError) as exc:
             report.reject(line_no, type(exc).__name__)
         else:
             report.accepted += 1
+            yield rec
     if report.rejected and not report.accepted:
         raise AllLinesRejected(report)
-    return records, report
 
 
 def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
@@ -235,6 +249,26 @@ def group_by_user(records: Iterable[CommentRecord]) -> list[UserActivityLog]:
     for rec in records:
         by_user[rec.user_id].append(rec)
     return [build_log(user_id, recs) for user_id, recs in sorted(by_user.items())]
+
+
+class NotGrouped(ValueError):
+    """A user_id reappeared after the run of its records had ended."""
+
+
+def user_runs(records: Iterable[CommentRecord]) -> Iterator[tuple[str, list[CommentRecord]]]:
+    """Yield (user_id, records) for each contiguous run of one user's records.
+
+    A run is complete, and yielded, once the next user_id starts, so only one
+    user's records are held at a time. Raises NotGrouped when a user_id
+    whose run has ended appears again; the runs yielded so far are then
+    incomplete, and the input has to be grouped whole (group_by_user).
+    """
+    finished: set[str] = set()
+    for user_id, run in groupby(records, key=attrgetter("user_id")):
+        if user_id in finished:
+            raise NotGrouped(f"records of {user_id!r} are not contiguous")
+        finished.add(user_id)
+        yield user_id, list(run)
 
 
 # --- paged feed client -----------------------------------------------------
@@ -323,7 +357,8 @@ def fetch_user_log(
     until the final page or page_limit pages, whichever comes first; hitting
     the limit returns the partial log with truncated=True. Failed page
     fetches are retried once per backoff step (0.5s, 1s, 2s by default)
-    before EndpointUnreachable is raised.
+    before EndpointUnreachable is raised. A record of another user, in a
+    file or on a page, raises MixedUsers.
     """
     if page_limit < 1:
         raise ValueError(f"page_limit must be positive: {page_limit}")

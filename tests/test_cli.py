@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import os
+import random
+import threading
 
 import pytest
 
-from spamminer import classifier, features, ingest
+from spamminer import classifier, cli, features, ingest
 from spamminer.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -16,7 +21,7 @@ from spamminer.cli import (
     EXIT_USAGE,
     main,
 )
-from spamminer.model import record_to_json, verdict_to_json
+from spamminer.model import format_rfc3339, record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
 from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_record
@@ -32,6 +37,14 @@ def corpus_path(tmp_path):
     corpus = generate(specs, 11)
     path, _ = write_corpus(corpus, tmp_path / "corpus.jsonl")
     return path
+
+
+# Inputs of which nothing parses: garbage-only JSONL, and CSV whose header is not UTF-8.
+REJECTED_INPUTS = [
+    ("jsonl", b"not json\nstill not json\n"),
+    ("csv", b"user_id,comment_id,video_id,published_at,text,has_spam_hint\xff\n"
+            b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
+]
 
 
 class TestScore:
@@ -104,6 +117,16 @@ class TestScore:
         bad.write_text("not json\nstill not json\n")
         code = main(["score", "--input", str(bad), "--output", str(tmp_path / "o.jsonl")])
         assert code == EXIT_REJECTED
+
+    @pytest.mark.parametrize("fmt, content", REJECTED_INPUTS)
+    def test_rejected_input_writes_no_output(self, tmp_path, fmt, content):
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(content)
+        out = tmp_path / "out" / "verdicts.jsonl"
+        code = main(["score", "--input", str(bad), "--format", fmt, "--output", str(out)])
+        assert code == EXIT_REJECTED
+        assert not out.exists()
+        assert not out.parent.exists()
 
     def test_partial_garbage_is_warning(self, corpus_path, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
@@ -208,6 +231,49 @@ class TestFetch:
         assert "fetch failed for 'bob': initial page: invalid JSON" in err
         assert "fetched 1/2 users" in err
 
+    def test_foreign_record_in_directory_file(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        records = {"bob": [make_record(user="bob", ts=1, cid="b1"),
+                           make_record(user="alice", ts=2, cid="a1")],
+                   "carol": [make_record(user="carol", ts=1, cid="c1")]}
+        for uid, recs in records.items():
+            (feed_dir / f"{uid}.jsonl").write_text(
+                "".join(record_to_json(rec) + "\n" for rec in recs))
+        users = tmp_path / "users.txt"
+        users.write_text("bob\ncarol\n")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["carol.jsonl"]
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
+        assert "fetched 1/2 users" in err
+
+        users.write_text("bob\n")
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(tmp_path / "cache2")])
+        assert code == EXIT_IO
+
+    def test_foreign_record_on_feed_page(self, tmp_path, capsys):
+        feed = MockFeed(users={
+            "bob": MockUser(pages=[feed_page_records("bob", 0, 2),
+                                   feed_page_records("alice", 2, 1)]),
+            "carol": MockUser(pages=[feed_page_records("carol", 0, 3)]),
+        })
+        users = tmp_path / "users.txt"
+        users.write_text("bob\ncarol\n")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["carol.jsonl"]
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
+        assert "fetched 1/2 users" in err
+
     def test_all_users_fail(self, tmp_path):
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
@@ -216,6 +282,178 @@ class TestFetch:
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(tmp_path / "cache")])
         assert code == EXIT_IO
+
+
+GARBAGE = object()  # stands for a line that does not parse, in either format
+CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint\n"
+
+
+def _render(items, fmt: str) -> bytes:
+    """Records (and GARBAGE) as JSONL or CSV, one physical line each."""
+    if fmt == "jsonl":
+        return "".join("{garbage\n" if rec is GARBAGE else record_to_json(rec) + "\n"
+                       for rec in items).encode("utf-8")
+    buf = io.StringIO()
+    buf.write(CSV_HEADER)
+    writer = csv.writer(buf, lineterminator="\n")
+    for rec in items:
+        if rec is GARBAGE:
+            buf.write("u1,c1,v1,not-a-time,hi,false\n")
+        else:
+            writer.writerow([rec.user_id, rec.comment_id, rec.video_id,
+                             format_rfc3339(rec.timestamp_s), rec.text,
+                             str(rec.has_spam_hint).lower()])
+    return buf.getvalue().encode("utf-8")
+
+
+def _contiguous_records():
+    """A small synth corpus: each user's records in one run, users not sorted by user_id."""
+    specs = [PersonaSpec(kind, 3) for kind in PersonaKind]
+    return list(generate(specs, 17).records)
+
+
+def _run_end(records, start: int) -> int:
+    """Index one past the run of records[start].user_id that starts at start."""
+    end = start
+    while end < len(records) and records[end].user_id == records[start].user_id:
+        end += 1
+    return end
+
+
+def _dup_in_run(records):
+    # A later record of the first user repeats its second record's comment_id.
+    end = _run_end(records, 0)
+    dup = records[1]._replace(timestamp_s=records[1].timestamp_s + 1, text="dup")
+    return records[:end] + [dup] + records[end:]
+
+
+def _dup_across_runs(records):
+    # The same duplicate, but in a second run of the first user, after the next user.
+    end = _run_end(records, _run_end(records, 0))
+    dup = records[1]._replace(timestamp_s=records[1].timestamp_s + 1, text="dup")
+    return records[:end] + [dup] + records[end:]
+
+
+# name -> (transform of the contiguous records, whether the input is grouped)
+ORDER_CASES = {
+    "contiguous": (lambda recs: recs, True),
+    "shuffled": (lambda recs: random.Random(7).sample(recs, len(recs)), False),
+    "late_repeat": (lambda recs: recs[1:] + recs[:1], False),
+    "dup_in_run": (_dup_in_run, True),
+    "dup_across_runs": (_dup_across_runs, False),
+    "rejected_in_run": (lambda recs: recs[:2] + [GARBAGE] + recs[2:], True),
+    "rejected_then_late_repeat": (lambda recs: recs[1:2] + [GARBAGE] + recs[2:] + recs[:1],
+                                  False),
+}
+
+
+def _grouped_features(args):
+    """The whole-corpus path, parse -> group_by_user -> feature_vector: the oracle."""
+    parse = ingest.parse_jsonl if args.format == "jsonl" else ingest.parse_csv
+    with open(args.input, "rb") as fh:
+        records, rep = parse(fh)
+    for line_no, error_name in rep.rejects:
+        cli._warn(f"{args.input}:{line_no}: rejected line ({error_name})")
+    if rep.rejected:
+        cli._warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
+    return [features.feature_vector(log, args.normalization)
+            for log in ingest.group_by_user(records)]
+
+
+def _score_and_report(corpus, fmt: str, outdir, capsys) -> dict[str, bytes]:
+    """Every output file of `score --explain` and `report --svg`, plus their stderr."""
+    capsys.readouterr()
+    assert main(["score", "--input", str(corpus), "--format", fmt, "--explain",
+                 "--output", str(outdir / "verdicts.jsonl")]) == EXIT_OK
+    assert main(["report", "--input", str(corpus), "--format", fmt, "--svg",
+                 "--outdir", str(outdir / "figs")]) == EXIT_OK
+    outputs = {path.relative_to(outdir).as_posix(): path.read_bytes()
+               for path in sorted(outdir.rglob("*")) if path.is_file()}
+    outputs["stderr"] = capsys.readouterr().err.replace(str(outdir), "OUT").encode()
+    return outputs
+
+
+class TestInputOrder:
+    """Scoring run by run gives exactly the outputs of grouping the whole corpus."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    def test_same_outputs_as_grouped_path(self, tmp_path, monkeypatch, capsys, case, fmt):
+        transform, grouped = ORDER_CASES[case]
+        items = transform(_contiguous_records())
+        corpus = tmp_path / f"corpus.{fmt}"
+        corpus.write_bytes(_render(items, fmt))
+
+        group_calls = []
+        group_by_user = ingest.group_by_user
+        monkeypatch.setattr(ingest, "group_by_user",
+                            lambda recs: group_calls.append(1) or group_by_user(recs))
+        streamed = _score_and_report(corpus, fmt, tmp_path / "streamed", capsys)
+        assert bool(group_calls) is not grouped  # the fallback ran only on ungrouped input
+
+        monkeypatch.setattr(cli, "_corpus_features", _grouped_features)
+        expected = _score_and_report(corpus, fmt, tmp_path / "grouped", capsys)
+        assert streamed == expected
+        rejected = expected["stderr"].decode().count("rejected line")
+        assert rejected == 2 * sum(item is GARBAGE for item in items)  # score, then report
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_grouped_whole(self, tmp_path):
+        # A pipe cannot be read a second time, so ungrouped records must still score.
+        records = _contiguous_records()
+        data = _render(records[1:] + records[:1], "jsonl")
+        (tmp_path / "corpus.jsonl").write_bytes(data)
+        fifo = tmp_path / "pipe.jsonl"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        code = main(["score", "--input", str(fifo), "--output", str(tmp_path / "piped.jsonl")])
+        writer.join()
+        assert code == EXIT_OK
+        assert main(["score", "--input", str(tmp_path / "corpus.jsonl"),
+                     "--output", str(tmp_path / "filed.jsonl")]) == EXIT_OK
+        assert (tmp_path / "piped.jsonl").read_bytes() == (tmp_path / "filed.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_at_most_one_user_buffered(self, tmp_path, monkeypatch, fmt):
+        records = _contiguous_records()
+        corpus = tmp_path / f"corpus.{fmt}"
+        corpus.write_bytes(_render(records, fmt))
+        # Physical line number of each user's first record (CSV line 1 is the header).
+        first_line: dict[str, int] = {}
+        for line_no, rec in enumerate(records, start=2 if fmt == "csv" else 1):
+            first_line.setdefault(rec.user_id, line_no)
+        users = list(first_line)
+        total_lines = len(records) + (fmt == "csv")
+
+        lines_read = 0
+        iter_records = getattr(ingest, f"iter_{fmt}")
+
+        def counting_iter(stream, report):
+            def lines():
+                nonlocal lines_read
+                for line in stream:
+                    lines_read += 1
+                    yield line
+            return iter_records(lines(), report)
+
+        read_at_vector: dict[str, int] = {}
+        feature_vector = features.feature_vector
+
+        def recording_feature_vector(log, *args):
+            read_at_vector[log.user_id] = lines_read
+            return feature_vector(log, *args)
+
+        monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
+        monkeypatch.setattr(features, "feature_vector", recording_feature_vector)
+        assert main(["score", "--input", str(corpus), "--format", fmt,
+                     "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
+
+        assert list(read_at_vector) == users
+        for k, user in enumerate(users):
+            limit = first_line[users[k + 2]] if k + 2 < len(users) else total_lines + 1
+            assert read_at_vector[user] < limit
+        assert lines_read == total_lines
 
 
 class TestSynth:
@@ -266,6 +504,16 @@ class TestReport:
                      "--outdir", str(tmp_path / "figs")])
         assert code == EXIT_USAGE
         assert "fig9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, content", REJECTED_INPUTS)
+    def test_rejected_input_writes_no_output(self, tmp_path, fmt, content):
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(content)
+        outdir = tmp_path / "figs"
+        code = main(["report", "--input", str(bad), "--format", fmt, "--svg",
+                     "--outdir", str(outdir)])
+        assert code == EXIT_REJECTED
+        assert not outdir.exists()
 
     def test_summary_content(self, corpus_path, tmp_path):
         outdir = tmp_path / "figs"

@@ -11,16 +11,20 @@ import pytest
 from spamminer.ingest import (
     AllLinesRejected,
     EndpointUnreachable,
+    IngestReport,
     MalformedPage,
     MissingHeader,
+    NotGrouped,
     UserNotFound,
     _decode_page,
     cache_get,
     cache_put,
     fetch_user_log,
     group_by_user,
+    iter_jsonl,
     parse_csv,
     parse_jsonl,
+    user_runs,
 )
 from spamminer.model import build_log, record_to_json
 
@@ -251,6 +255,56 @@ class TestGroupByUser:
         ]
         logs = group_by_user(records)
         assert sum(len(log) for log in logs) == 200
+
+
+class TestIterRecords:
+    def test_jsonl_yields_before_reading_on(self):
+        lines_read = []
+
+        def stream():
+            for i, line in enumerate([VALID_LINE, "{garbage", VALID_LINE], start=1):
+                lines_read.append(i)
+                yield line
+
+        report = IngestReport()
+        records = iter_jsonl(stream(), report)
+        next(records)
+        assert lines_read == [1]
+        assert len(list(records)) == 1
+        assert lines_read == [1, 2, 3]
+        assert (report.accepted, report.rejects) == (2, [(2, "ParseError")])
+
+
+class TestUserRuns:
+    def test_one_run_per_user_in_input_order(self):
+        records = (
+            [make_record(user="u2", ts=t) for t in (5, 6)]
+            + [make_record(user="u1", ts=t) for t in (3, 1, 2)]
+        )
+        runs = list(user_runs(records))
+        assert runs == [("u2", records[:2]), ("u1", records[2:])]
+
+    def test_empty(self):
+        assert list(user_runs([])) == []
+
+    def test_run_yielded_when_next_user_starts(self):
+        pulled = []
+
+        def records():
+            for user in ("a", "a", "b", "c"):
+                pulled.append(user)
+                yield make_record(user=user)
+
+        runs = user_runs(records())
+        assert next(runs)[0] == "a"
+        assert pulled == ["a", "a", "b"]
+
+    def test_reappearing_user_raises(self):
+        records = [make_record(user=u) for u in ("a", "b", "b", "a")]
+        runs = user_runs(records)
+        assert [next(runs)[0], next(runs)[0]] == ["a", "b"]
+        with pytest.raises(NotGrouped, match="'a'"):
+            next(runs)
 
 
 class TestCache:
