@@ -27,18 +27,16 @@ def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Element-wise verdicts (input order preserved) plus label counts."""
+    """Element-wise verdicts, input order preserved.
+
+    Label counts are report.summarize(list(verdicts))["labels"].
+    """
 
     verdicts: tuple[Verdict, ...]
-    counts: dict[str, int]
 
 
 def classify_batch(
     fvs: list[FeatureVector], cfg: RuleConfig = RuleConfig()
 ) -> BatchResult:
-    """Classify a batch of feature vectors, tallying labels for reporting."""
-    verdicts = tuple(classify(fv, cfg) for fv in fvs)
-    counts = {label.value: 0 for label in Label}
-    for verdict in verdicts:
-        counts[verdict.label.value] += 1
-    return BatchResult(verdicts=verdicts, counts=counts)
+    """Classify a batch of feature vectors."""
+    return BatchResult(verdicts=tuple(classify(fv, cfg) for fv in fvs))

@@ -16,6 +16,7 @@ import argparse
 import sys
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterable
 
 from . import classifier, features, ingest, report, synth
 from .model import (
@@ -57,6 +58,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _warn(message: str) -> None:
     print(f"spamminer: {message}", file=sys.stderr)
+
+
+def _warn_rejects(source: str | Path, rejects: Iterable[tuple[int, str]]) -> None:
+    """Warn once per rejected line of source, given (line number, error name) pairs."""
+    for line_no, error_name in rejects:
+        _warn(f"{source}:{line_no}: rejected line ({error_name})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,8 +138,7 @@ def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
         if fvs is None:
             fvs = [features.feature_vector(log, args.normalization)
                    for log in ingest.group_by_user(records_of(fh, rep))]
-    for line_no, error_name in rep.rejects:
-        _warn(f"{args.input}:{line_no}: rejected line ({error_name})")
+    _warn_rejects(args.input, rep.rejects)
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
     return fvs
@@ -160,13 +166,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.explain:
         for verdict in batch.verdicts:
             _warn(_explain(verdict, cfg))
-    _warn(f"scored {len(batch.verdicts)} users: {batch.counts}")
+    labels = report.summarize(list(batch.verdicts))["labels"]
+    _warn(f"scored {len(batch.verdicts)} users: {labels}")
     return EXIT_OK
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    users = [line.strip() for line in Path(args.users).read_text(encoding="utf-8").splitlines()
-             if line.strip()]
+    try:
+        text = Path(args.users).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None
+    users = [line.strip() for line in text.splitlines() if line.strip()]
     fetched = 0
     for user_id in users:
         try:
@@ -175,9 +185,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 ingest.AllLinesRejected, MixedUsers, OSError) as exc:
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
-        for line_no, error_name in result.rejects:
-            _warn(f"{ingest.user_file(args.endpoint, user_id)}:{line_no}: "
-                  f"rejected line ({error_name})")
+        if result.rejects:
+            _warn_rejects(ingest.user_file(args.endpoint, user_id), result.rejects)
         if result.truncated:
             _warn(f"log for {user_id!r} truncated at {args.page_limit} pages")
         ingest.cache_put(args.cache, result.log)

@@ -64,7 +64,7 @@ class EndpointUnreachable(IOError):
 
 
 class MalformedPage(ValueError):
-    """A feed page body was not a valid FeedPage."""
+    """A feed page body was not a valid page of the feed protocol."""
 
     def __init__(self, message: str, page_token: str | None = None) -> None:
         token_desc = "initial page" if page_token is None else f"page token {page_token!r}"
@@ -74,14 +74,6 @@ class MalformedPage(ValueError):
 
 class UserNotFound(LookupError):
     """The endpoint has no log for the requested user."""
-
-
-@dataclass(frozen=True)
-class FeedPage:
-    """One page of a paged comment feed."""
-
-    comments: tuple[CommentRecord, ...]
-    next_page_token: str | None = None
 
 
 @dataclass
@@ -290,7 +282,10 @@ class FetchResult:
     rejects: tuple[tuple[int, str], ...] = ()
 
 
-def _decode_page(body: bytes, page_token: str | None) -> FeedPage:
+def _decode_page(
+    body: bytes, page_token: str | None
+) -> tuple[tuple[CommentRecord, ...], str | None]:
+    """(comments, next_page_token) of one feed page body."""
     try:
         obj = json.loads(body)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -304,7 +299,7 @@ def _decode_page(body: bytes, page_token: str | None) -> FeedPage:
         comments = tuple(decode_record(item) for item in obj["comments"])
     except ValueError as exc:
         raise MalformedPage(f"bad record: {exc}", page_token) from exc
-    return FeedPage(comments=comments, next_page_token=token)
+    return comments, token
 
 
 def _get_page(
@@ -313,7 +308,7 @@ def _get_page(
     page_token: str | None,
     backoff_s: tuple[float, ...],
     timeout_s: float,
-) -> FeedPage:
+) -> tuple[tuple[CommentRecord, ...], str | None]:
     url = f"{base_url.rstrip('/')}/users/{quote(user_id, safe='')}/comments"
     if page_token is not None:
         url += "?" + urlencode({"page_token": page_token})
@@ -374,9 +369,8 @@ def fetch_user_log(
     token: str | None = None
     truncated = False
     for page_no in range(page_limit):
-        page = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s)
-        records.extend(page.comments)
-        token = page.next_page_token
+        comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s)
+        records.extend(comments)
         if token is None:
             break
         if page_no == page_limit - 1:

@@ -295,18 +295,27 @@ _RFC3339 = re.compile(
 )
 
 
+# 9999-12-31T23:59:59Z, the last instant format_rfc3339 can write.
+_MAX_TIMESTAMP_S = 253402300799
+
+
 def parse_rfc3339(value: str) -> int:
     """Parse an RFC3339 timestamp into epoch seconds, truncating sub-seconds.
 
     A missing UTC offset is taken as UTC. Anything but the layout above
     raises ValueError, as does an out-of-range field or an offset of 24h or
-    more (datetime checks those).
+    more (datetime checks those), or an instant after 9999-12-31T23:59:59Z
+    (a local year-9999 time with a negative offset), which could not be
+    written back.
     """
     match = _RFC3339.fullmatch(value)
     if match is None:
         raise ValueError(f"not an RFC3339 timestamp: {value!r}")
     date, time, offset = match.groups()
-    return int(datetime.fromisoformat(f"{date}T{time}{offset or '+00:00'}").timestamp())
+    timestamp_s = int(datetime.fromisoformat(f"{date}T{time}{offset or '+00:00'}").timestamp())
+    if timestamp_s > _MAX_TIMESTAMP_S:
+        raise ValueError(f"timestamp after 9999-12-31T23:59:59Z: {value!r}")
+    return timestamp_s
 
 
 def format_rfc3339(timestamp_s: int) -> str:
@@ -421,10 +430,10 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
 
 
 def load_rule_config(path: str) -> RuleConfig:
-    """Load a RuleConfig from a JSON file."""
+    """Load a RuleConfig from a UTF-8 JSON file."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return rule_config_from_obj(obj)

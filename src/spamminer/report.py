@@ -165,27 +165,22 @@ def svg_scatter(ds: FigureDataset) -> str:
 
 # --- file emission ---------------------------------------------------------
 
-def write_figure_csv(ds: FigureDataset, outdir: str | Path) -> Path:
+def _write(outdir: str | Path, name: str, text: str) -> Path:
+    """Write text to outdir/name as UTF-8 with LF line endings, creating outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{ds.figure_id}.csv"
-    path.write_text(figure_csv(ds), encoding="utf-8", newline="\n")
+    path = outdir / name
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
+
+
+def write_figure_csv(ds: FigureDataset, outdir: str | Path) -> Path:
+    return _write(outdir, f"{ds.figure_id}.csv", figure_csv(ds))
 
 
 def write_figure_svg(ds: FigureDataset, outdir: str | Path) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{ds.figure_id}.svg"
-    path.write_text(svg_scatter(ds), encoding="utf-8", newline="\n")
-    return path
+    return _write(outdir, f"{ds.figure_id}.svg", svg_scatter(ds))
 
 
 def write_summary(summary: dict, outdir: str | Path) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "summary.json"
-    path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return _write(outdir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -322,19 +322,15 @@ def persona_spec_from_obj(obj: dict) -> PersonaSpec:
 
 
 def load_persona_specs(path: str) -> list[PersonaSpec]:
-    """Load a JSON array of persona specs."""
+    """Load a JSON array of persona specs from a UTF-8 file."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise InvalidSpec(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidSpec("persona spec file must be a JSON array")
     return [persona_spec_from_obj(item) for item in data]
-
-
-def truth_path_for(corpus_path: str | Path) -> Path:
-    return Path(corpus_path).with_suffix(".truth.json")
 
 
 def write_corpus(corpus: LabeledCorpus, out_path: str | Path) -> tuple[Path, Path]:
@@ -344,7 +340,7 @@ def write_corpus(corpus: LabeledCorpus, out_path: str | Path) -> tuple[Path, Pat
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in corpus.records:
             fh.write(record_to_json(rec) + "\n")
-    truth_path = truth_path_for(out_path)
+    truth_path = out_path.with_suffix(".truth.json")
     with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(corpus.truth, fh, indent=2, sort_keys=True)
         fh.write("\n")

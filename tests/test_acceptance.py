@@ -31,7 +31,7 @@ from spamminer.model import (
     build_log,
     record_to_json,
 )
-from spamminer.report import FIGURE_IDS, figure_csv, figure_dataset, svg_scatter
+from spamminer.report import FIGURE_IDS, figure_csv, figure_dataset, summarize, svg_scatter
 from spamminer.synth import benchmark_specs, generate, write_corpus
 from spamminer import cli
 
@@ -198,7 +198,7 @@ def test_criterion_5_synthetic_benchmark(tmp_path):
         assert len(logs) == 200
         fvs = [feature_vector(log) for log in logs]
         batch = classify_batch(fvs, DEFAULTS)
-        assert batch.counts["insufficient"] == 0
+        assert summarize(list(batch.verdicts))["labels"]["insufficient"] == 0
 
         truth = json.loads(truth_path.read_text(encoding="utf-8"))
         predicted = {v.user_id for v in batch.verdicts if v.label is Label.SPAMMER}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from spamminer.classifier import classify, classify_batch
 from spamminer.model import FeatureVector, Indicator, Label, RuleConfig
+from spamminer.report import summarize
 
 
 def fv(n=10, atdc=3600.0, pchf=0.0, crr=0.0, vidovp=0.0, crav=0.0, user="u1"):
@@ -84,21 +85,23 @@ class TestClassifyBatch:
         ]
         batch = classify_batch(vectors)
         assert [v.user_id for v in batch.verdicts] == ["a", "b", "c"]
-        assert batch.counts == {"spammer": 1, "legit": 1, "insufficient": 1}
+        assert summarize(list(batch.verdicts))["labels"] == {
+            "spammer": 1, "legit": 1, "insufficient": 1}
 
     def test_empty(self):
         batch = classify_batch([])
         assert batch.verdicts == ()
-        assert batch.counts == {"spammer": 0, "legit": 0, "insufficient": 0}
+        assert summarize(list(batch.verdicts))["labels"] == {
+            "spammer": 0, "legit": 0, "insufficient": 0}
 
     def test_counts_sum_to_input_length(self):
         vectors = [fv(n=n, pchf=p, user=f"u{i}")
                    for i, (n, p) in enumerate([(2, 0), (8, 90), (5, 100), (9, 0)])]
         batch = classify_batch(vectors)
-        assert sum(batch.counts.values()) == len(vectors)
+        assert sum(summarize(list(batch.verdicts))["labels"].values()) == len(vectors)
 
     def test_all_gated_users_classified(self):
         vectors = [fv(n=6 + i, user=f"u{i:03d}") for i in range(119)]
         batch = classify_batch(vectors)
-        assert batch.counts["insufficient"] == 0
+        assert summarize(list(batch.verdicts))["labels"]["insufficient"] == 0
         assert len(batch.verdicts) == 119

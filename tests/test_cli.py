@@ -112,6 +112,14 @@ class TestScore:
         assert code == EXIT_CONFIG
         assert "min_commentz" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_config_error(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_bytes(b'{"min_comments": 5, "note": "\xff"}')
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "verdicts.jsonl")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid JSON in {cfg_path}" in capsys.readouterr().err
+
     def test_pure_garbage_input(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\nstill not json\n")
@@ -213,6 +221,36 @@ class TestFetch:
         assert len(ingest.cache_get(cache_dir, "alice")) == 1
         err = capsys.readouterr().err
         assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (ParseError)" in err
+
+    def test_directory_file_instant_after_year_9999(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
+        late = good.replace(format_rfc3339(1), "9999-12-31T23:59:59-00:01")
+        (feed_dir / "alice.jsonl").write_text(good + "\n" + late + "\n")
+        (feed_dir / "bob.jsonl").write_text(
+            record_to_json(make_record(user="bob", ts=1, cid="b1")) + "\n")
+        users = tmp_path / "users.txt"
+        users.write_text("alice\nbob\n")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert len(ingest.cache_get(cache_dir, "alice")) == 1
+        assert len(ingest.cache_get(cache_dir, "bob")) == 1
+        err = capsys.readouterr().err
+        assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (ParseError)" in err
+        assert "fetched 2/2 users" in err
+
+    def test_non_utf8_users_file_is_usage_error(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        users = tmp_path / "users.txt"
+        users.write_bytes(b"alice\n\xff\n")
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(tmp_path / "cache")])
+        assert code == EXIT_USAGE
+        assert f"usage error: users file {users} is not UTF-8" in capsys.readouterr().err
 
     def test_non_utf8_feed_page_is_a_warning(self, tmp_path, capsys):
         feed = MockFeed(users={
@@ -478,6 +516,14 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
+
+    def test_non_utf8_spec_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "personas.json"
+        spec.write_bytes(b'[{"kind": "bot", "count": 2, "note": "\xff"}]')
+        code = main(["synth", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid JSON in {spec}" in capsys.readouterr().err
 
 
 class TestReport:

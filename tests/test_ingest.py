@@ -50,6 +50,10 @@ VALID_LINE = json.dumps({
 })
 
 
+# One minute after 9999-12-31T23:59:59Z, the last instant format_rfc3339 can write.
+AFTER_YEAR_9999 = "9999-12-31T23:59:59-00:01"
+
+
 class TestParseJsonl:
     def test_all_valid(self):
         records, report = parse_jsonl(_jsonl([VALID_LINE] * 3))
@@ -109,6 +113,12 @@ class TestParseJsonl:
         good = (VALID_LINE + "\n").encode("utf-8")
         stream = io.BytesIO(good + b'{"user_id": "u\xff"}\n' + good)
         records, report = parse_jsonl(stream)
+        assert len(records) == 2
+        assert report.rejects == [(2, "ParseError")]
+
+    def test_instant_after_year_9999_rejected(self):
+        late = json.dumps({**json.loads(VALID_LINE), "published_at": AFTER_YEAR_9999})
+        records, report = parse_jsonl(_jsonl([VALID_LINE, late, VALID_LINE]))
         assert len(records) == 2
         assert report.rejects == [(2, "ParseError")]
 
@@ -199,6 +209,16 @@ class TestParseCsv:
         stream = _csv([CSV_HEADER, "u1,c1,v1,yesterday,x,false"])
         with pytest.raises(AllLinesRejected):
             parse_csv(stream)
+
+    def test_instant_after_year_9999_rejected(self):
+        stream = _csv([
+            CSV_HEADER,
+            f"u1,c1,v1,{AFTER_YEAR_9999},x,false",
+            "u1,c2,v1,2021-01-01T00:00:00Z,x,false",
+        ])
+        records, report = parse_csv(stream)
+        assert len(records) == 1
+        assert report.rejects == [(2, "ParseError")]
 
     def test_empty_comment_id_is_absent(self):
         stream = _csv([CSV_HEADER, "u1,,v1,2021-01-01T00:00:00Z,x,false"])
@@ -366,6 +386,11 @@ class TestDecodePage:
         with pytest.raises(MalformedPage, match="page token 'p3'") as excinfo:
             _decode_page(b'{"comments": [], "x": "\xff"}', "p3")
         assert excinfo.value.page_token == "p3"
+
+    def test_instant_after_year_9999_is_malformed(self):
+        comment = {**json.loads(VALID_LINE), "published_at": AFTER_YEAR_9999}
+        with pytest.raises(MalformedPage, match="bad record"):
+            _decode_page(json.dumps({"comments": [comment]}).encode("utf-8"), None)
 
 
 class TestFetchHttp:

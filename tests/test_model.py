@@ -196,6 +196,11 @@ class TestTimestamps:
     def test_format(self):
         assert format_rfc3339(100) == "1970-01-01T00:01:40Z"
 
+    def test_last_writable_instant(self):
+        last = "9999-12-31T23:59:59Z"
+        assert format_rfc3339(parse_rfc3339(last)) == last
+        assert parse_rfc3339("9999-12-31T23:59:59.999+00:00") == parse_rfc3339(last)
+
     @given(st.integers(min_value=0, max_value=4_000_000_000))
     def test_round_trip(self, ts):
         assert parse_rfc3339(format_rfc3339(ts)) == ts
@@ -220,6 +225,7 @@ class TestTimestamps:
         "2021-06-01T12:00:00+01:60",
         "\u0662021-06-01T12:00:00Z",  # a non-ASCII digit
         "2021-06-01T12:00:00Zjunk",
+        "9999-12-31T23:59:59-00:01",  # after the last instant format_rfc3339 can write
     ])
     def test_rejects_out_of_range_or_trailing(self, value):
         with pytest.raises(ValueError):
