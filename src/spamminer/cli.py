@@ -172,6 +172,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    if args.page_limit < 1:
+        raise UsageError(f"--page-limit must be at least 1: {args.page_limit}")
     try:
         text = Path(args.users).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from operator import mul
 
 from .model import FeatureVector, UserActivityLog
 
@@ -57,9 +58,16 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _within_class_pairs(counts: Counter) -> int:
-    """Pairs falling inside one equivalence class, summed over classes."""
-    return sum(_pair_count(c) for c in counts.values())
+def _same_class_pairs(items: list) -> int:
+    """Unordered pairs of equal items: the sum of c*(c-1)/2 over class sizes c.
+
+    Computed as (sum of c^2 - n) / 2, and 0 at once when all items differ.
+    """
+    n = len(items)
+    if len(set(items)) == n:
+        return 0
+    sizes = Counter(items).values()
+    return (sum(map(mul, sizes, sizes)) - n) // 2
 
 
 def atdc(log: UserActivityLog) -> float | None:
@@ -100,9 +108,10 @@ def _pair_census(log: UserActivityLog, mode: str) -> tuple[float, float, float]:
     texts = [normalize_text(rec.text, mode) for rec in log.records]
     videos = [rec.video_id for rec in log.records]
     pairs = _pair_count(n)
-    same_text = _within_class_pairs(Counter(texts))
-    same_video = _within_class_pairs(Counter(videos))
-    same_text_and_video = _within_class_pairs(Counter(zip(texts, videos)))
+    same_text = _same_class_pairs(texts)
+    same_video = _same_class_pairs(videos)
+    # A same-text-same-video pair is a same-text pair: none when no texts match.
+    same_text_and_video = _same_class_pairs(list(zip(texts, videos))) if same_text else 0
     return (
         same_text / pairs,
         (pairs - same_video) / pairs,

@@ -19,7 +19,6 @@ one JSONL file per user instead, in the cache layout (see user_file).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
@@ -37,6 +36,7 @@ from .model import (
     UserActivityLog,
     ValidationError,
     build_log,
+    check_no_surrogates,
     decode_record,
     parse_rfc3339,
     record_to_json,
@@ -94,7 +94,10 @@ class IngestReport:
         self.rejects.append((line_no, error_name))
 
 
-_decode_json = json.JSONDecoder().decode
+# The C scanner under json.JSONDecoder.decode, called directly: a line is
+# accepted when, stripped of JSON whitespace, it scans to its end.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
@@ -117,13 +120,26 @@ def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentR
     for line_no, line in enumerate(stream, start=1):
         try:
             if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            rec = decode_record(_decode_json(line))
+                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
+                # Decoded UTF-8 holds no surrogate: only a \u escape can spell one.
+                maybe_surrogate = "\\u" in text
+            else:
+                text = line.strip(_JSON_WHITESPACE)
+                maybe_surrogate = "\\u" in text or not text.isascii()
+            try:
+                obj, end = _scan_json(text, 0)
+            except StopIteration:  # no JSON value: a blank line is skipped
+                if not text.strip():
+                    continue
+                raise ParseError("expecting a JSON value") from None
+            if end != len(text):
+                raise ParseError(f"extra data after column {end}")
+            rec = decode_record(obj)
+            if maybe_surrogate:
+                check_no_surrogates(rec)
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
-        except ValueError:  # not UTF-8, not JSON, or a bad published_at
+        except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep, or a bad published_at
             report.reject(line_no, "ParseError")
         else:
             report.accepted += 1
@@ -134,13 +150,6 @@ def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentR
 
 CSV_REQUIRED_COLUMNS = ("user_id", "video_id", "published_at", "text", "has_spam_hint")
 _FLAG_VALUES = {"true": True, "1": True, "false": False, "0": False, "": False}
-
-
-def _parse_flag(raw: str) -> bool:
-    try:
-        return _FLAG_VALUES[raw.strip().lower()]
-    except KeyError:
-        raise ParseError(f"bad has_spam_hint value: {raw!r}") from None
 
 
 def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
@@ -173,8 +182,10 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
     if missing:
         raise MissingHeader(f"missing column: {missing[0]!r}")
-    index = {name: columns.index(name) for name in columns}
-    has_comment_id = "comment_id" in index
+    user_col, video_col, published_col, text_col, hint_col = (
+        columns.index(name) for name in CSV_REQUIRED_COLUMNS)
+    comment_id_col = columns.index("comment_id") if "comment_id" in columns else None
+    width = len(columns)
 
     while True:
         line_no = reader.line_num + 1
@@ -185,26 +196,26 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
         except csv.Error:
             report.reject(line_no, "ParseError")
             continue
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():  # no cells, or only blank ones
             continue
         try:
             # The reader reads no line past the row, so a non-UTF-8 line
             # numbered line_no or later lies inside it.
             if not_utf8 and not_utf8[-1] >= line_no:
                 raise ParseError(f"line {not_utf8[-1]} is not UTF-8")
-            if len(row) < len(columns):
-                raise ParseError(f"row has {len(row)} fields, expected {len(columns)}")
-            comment_id = row[index["comment_id"]].strip() if has_comment_id else ""
-            rec = CommentRecord(
-                user_id=row[index["user_id"]],
-                video_id=row[index["video_id"]],
-                timestamp_s=_parse_published_at(row[index["published_at"]]),
-                text=row[index["text"]],
-                has_spam_hint=_parse_flag(row[index["has_spam_hint"]]),
-                comment_id=comment_id or None,
-            )
-        except (ParseError, ValidationError) as exc:
+            if len(row) < width:
+                raise ParseError(f"row has {len(row)} fields, expected {width}")
+            hint = _FLAG_VALUES.get(row[hint_col].strip().lower())
+            if hint is None:
+                raise ParseError(f"bad has_spam_hint value: {row[hint_col]!r}")
+            comment_id = row[comment_id_col].strip() if comment_id_col is not None else ""
+            rec = CommentRecord(row[user_col], row[video_col],
+                                parse_rfc3339(row[published_col].strip()),
+                                row[text_col], hint, comment_id or None)
+        except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
+        except ValueError:  # a ParseError, or a bad published_at
+            report.reject(line_no, "ParseError")
         else:
             report.accepted += 1
             yield rec
@@ -226,13 +237,6 @@ def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
                 not_utf8.append(line_no)
                 line = line.decode("utf-8", "replace")
         yield line
-
-
-def _parse_published_at(raw: str) -> int:
-    try:
-        return parse_rfc3339(raw.strip())
-    except ValueError:
-        raise ParseError(f"bad published_at value: {raw!r}") from None
 
 
 def group_by_user(records: Iterable[CommentRecord]) -> list[UserActivityLog]:
@@ -288,7 +292,7 @@ def _decode_page(
     """(comments, next_page_token) of one feed page body."""
     try:
         obj = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not Unicode, or nested too deep
         raise MalformedPage(f"invalid JSON: {exc}", page_token) from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("comments"), list):
         raise MalformedPage("body is not a feed page object", page_token)
@@ -296,7 +300,8 @@ def _decode_page(
     if token is not None and not isinstance(token, str):
         raise MalformedPage("next_page_token must be a string", page_token)
     try:
-        comments = tuple(decode_record(item) for item in obj["comments"])
+        # json.loads lets a UTF-8-encoded surrogate through, so every record is checked.
+        comments = tuple(check_no_surrogates(decode_record(item)) for item in obj["comments"])
     except ValueError as exc:
         raise MalformedPage(f"bad record: {exc}", page_token) from exc
     return comments, token
@@ -394,10 +399,10 @@ def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = user_file(directory, log.user_id)
-    payload = "".join(record_to_json(rec) + "\n" for rec in log.records)
+    payload = "".join(record_to_json(rec) + "\n" for rec in log.records).encode("utf-8")
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
     try:
-        with io.open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp_name, target)
     except BaseException:

@@ -21,9 +21,11 @@ import math
 import operator
 import re
 import sys
+import time
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from typing import NamedTuple
 
 
@@ -41,6 +43,10 @@ class EmptyVideoId(ValidationError):
 
 class NegativeTimestamp(ValidationError):
     pass
+
+
+class LoneSurrogate(ValidationError):
+    """A string field holds a lone UTF-16 surrogate, which UTF-8 cannot encode."""
 
 
 class MixedUsers(ValueError):
@@ -178,8 +184,8 @@ class FeatureVector:
             raise ValueError("n_comments is negative")
         if (self.atdc_s is not None) != (self.n_comments >= 2):
             raise ValueError("atdc_s must be present exactly when n_comments >= 2")
-        if self.atdc_s is not None and self.atdc_s < 0:
-            raise ValueError("atdc_s is negative")
+        if self.atdc_s is not None and not 0 <= self.atdc_s < math.inf:
+            raise ValueError(f"atdc_s must be finite and non-negative: {self.atdc_s}")
         if not 0.0 <= self.pchf_pct <= 100.0:
             raise ValueError(f"pchf_pct out of range: {self.pchf_pct}")
         for name in ("crr", "vidovp", "crav"):
@@ -311,35 +317,44 @@ def parse_rfc3339(value: str) -> int:
     match = _RFC3339.fullmatch(value)
     if match is None:
         raise ValueError(f"not an RFC3339 timestamp: {value!r}")
-    date, time, offset = match.groups()
-    timestamp_s = int(datetime.fromisoformat(f"{date}T{time}{offset or '+00:00'}").timestamp())
+    date, clock, offset = match.groups()
+    timestamp_s = int(datetime.fromisoformat(f"{date}T{clock}{offset or '+00:00'}").timestamp())
     if timestamp_s > _MAX_TIMESTAMP_S:
         raise ValueError(f"timestamp after 9999-12-31T23:59:59Z: {value!r}")
     return timestamp_s
 
 
 def format_rfc3339(timestamp_s: int) -> str:
-    """Render epoch seconds as a canonical RFC3339 string (Z-suffixed)."""
-    dt = datetime.fromtimestamp(timestamp_s, tz=timezone.utc)
-    return dt.isoformat().replace("+00:00", "Z")
+    """Render epoch seconds as a canonical RFC3339 string (Z-suffixed).
+
+    Raises ValueError for an instant before the epoch or after
+    9999-12-31T23:59:59Z, which parse_rfc3339 would not read back.
+    """
+    if not 0 <= timestamp_s <= _MAX_TIMESTAMP_S:
+        raise ValueError(f"timestamp_s out of range: {timestamp_s}")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(timestamp_s))
 
 
 # --- canonical JSON --------------------------------------------------------
 
-def encode_record(rec: CommentRecord) -> dict:
-    """Canonical JSON object for one record; comment_id omitted when absent."""
-    obj: dict = {"user_id": rec.user_id}
-    if rec.comment_id is not None:
-        obj["comment_id"] = rec.comment_id
-    obj["video_id"] = rec.video_id
-    obj["published_at"] = format_rfc3339(rec.timestamp_s)
-    obj["text"] = rec.text
-    obj["has_spam_hint"] = rec.has_spam_hint
-    return obj
-
+# Each line below is exactly json.dumps(obj, ensure_ascii=False) of the
+# canonical object (tests/helpers.py keeps those objects as the oracle),
+# built without the dict and the encoder walk: strings go through the JSON
+# string encoder, numbers through repr, as json.dumps writes finite ones.
 
 def record_to_json(rec: CommentRecord) -> str:
-    return json.dumps(encode_record(rec), ensure_ascii=False)
+    """Canonical JSON line for one record (no newline); comment_id omitted when absent.
+
+    Keys in order: user_id, comment_id, video_id, published_at, text,
+    has_spam_hint.
+    """
+    user_id, video_id, timestamp_s, text, has_spam_hint, comment_id = rec
+    cid = "" if comment_id is None else f'"comment_id": {_quote(comment_id)}, '
+    return (
+        f'{{"user_id": {_quote(user_id)}, {cid}"video_id": {_quote(video_id)}, '
+        f'"published_at": "{format_rfc3339(timestamp_s)}", "text": {_quote(text)}, '
+        f'"has_spam_hint": {"true" if has_spam_hint else "false"}}}'
+    )
 
 
 def decode_record(obj: dict) -> CommentRecord:
@@ -374,30 +389,36 @@ def _required_str(obj: dict, key: str) -> str:
     raise ValidationError(f"{key} must be a string")
 
 
-def encode_features(fv: FeatureVector) -> dict:
-    """JSON object for a feature vector; atdc_s omitted when absent."""
-    obj: dict = {"user_id": fv.user_id, "n_comments": fv.n_comments}
-    if fv.atdc_s is not None:
-        obj["atdc_s"] = fv.atdc_s
-    obj["pchf_pct"] = fv.pchf_pct
-    obj["crr"] = fv.crr
-    obj["vidovp"] = fv.vidovp
-    obj["crav"] = fv.crav
-    return obj
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def encode_verdict(verdict: Verdict) -> dict:
-    triggered = [ind.value for ind in Indicator if ind in verdict.triggered]
-    return {
-        "user_id": verdict.user_id,
-        "label": verdict.label.value,
-        "triggered": triggered,
-        "features": encode_features(verdict.features),
-    }
+def check_no_surrogates(rec: CommentRecord) -> CommentRecord:
+    """rec itself; raises LoneSurrogate when a string field holds a surrogate code point.
+
+    JSON's \\u escapes can spell a lone UTF-16 surrogate, which no UTF-8
+    text can carry, so such a record could never be written back.
+    """
+    for value in (rec.user_id, rec.video_id, rec.text, rec.comment_id or ""):
+        if _SURROGATE.search(value):
+            raise LoneSurrogate(f"lone surrogate in {value!r}")
+    return rec
 
 
 def verdict_to_json(verdict: Verdict) -> str:
-    return json.dumps(encode_verdict(verdict), ensure_ascii=False)
+    """Canonical JSON line for one verdict (no newline), its features nested.
+
+    triggered lists the indicators in rule order; the features omit atdc_s
+    when it is absent.
+    """
+    fv = verdict.features
+    triggered = ", ".join(f'"{ind.value}"' for ind in Indicator if ind in verdict.triggered)
+    atdc = "" if fv.atdc_s is None else f'"atdc_s": {fv.atdc_s!r}, '
+    return (
+        f'{{"user_id": {_quote(verdict.user_id)}, "label": "{verdict.label.value}", '
+        f'"triggered": [{triggered}], "features": {{"user_id": {_quote(fv.user_id)}, '
+        f'"n_comments": {fv.n_comments!r}, {atdc}"pchf_pct": {fv.pchf_pct!r}, '
+        f'"crr": {fv.crr!r}, "vidovp": {fv.vidovp!r}, "crav": {fv.crav!r}}}}}'
+    )
 
 
 def rule_config_from_obj(obj: dict) -> RuleConfig:
@@ -434,6 +455,6 @@ def load_rule_config(path: str) -> RuleConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return rule_config_from_obj(obj)

@@ -326,7 +326,7 @@ def load_persona_specs(path: str) -> list[PersonaSpec]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise InvalidSpec(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidSpec("persona spec file must be a JSON array")

@@ -1,8 +1,10 @@
-"""Shared test helpers: record builders, brute-force oracles, mock feed server.
+"""Shared test helpers: record builders, oracles, mock feed server.
 
-The oracles here enumerate every unordered pair explicitly. They must stay
-independent of the library's counting-formula implementations: they are the
-ground truth those implementations are checked against.
+The pair oracles here enumerate every unordered pair explicitly. They must
+stay independent of the library's counting-formula implementations: they are
+the ground truth those implementations are checked against. The reference
+codecs (JSON objects, RFC3339, the JSONL reader) are the earlier, plainer
+implementations, against which the fast paths are checked.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from spamminer.model import CommentRecord, UserActivityLog, build_log
+from spamminer.model import (
+    CommentRecord,
+    FeatureVector,
+    Indicator,
+    UserActivityLog,
+    ValidationError,
+    Verdict,
+    build_log,
+    decode_record,
+)
 
 
 def make_record(user="u1", video="v1", ts=0, text="", hint=False, cid=None) -> CommentRecord:
@@ -76,6 +87,80 @@ def reference_parse_rfc3339(value: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.replace(microsecond=0).timestamp())
+
+
+def reference_format_rfc3339(timestamp_s: int) -> str:
+    """The earlier datetime-based formatter, kept as an oracle for format_rfc3339."""
+    return datetime.fromtimestamp(timestamp_s, tz=timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+# --- canonical JSON objects (oracles for the line encoders) -----------------
+
+def encode_record(rec: CommentRecord) -> dict:
+    """Canonical JSON object for one record; comment_id omitted when absent.
+
+    json.dumps(encode_record(rec), ensure_ascii=False) is the line that
+    record_to_json must write.
+    """
+    obj: dict = {"user_id": rec.user_id}
+    if rec.comment_id is not None:
+        obj["comment_id"] = rec.comment_id
+    obj["video_id"] = rec.video_id
+    obj["published_at"] = reference_format_rfc3339(rec.timestamp_s)
+    obj["text"] = rec.text
+    obj["has_spam_hint"] = rec.has_spam_hint
+    return obj
+
+
+def encode_features(fv: FeatureVector) -> dict:
+    """JSON object for a feature vector; atdc_s omitted when absent."""
+    obj: dict = {"user_id": fv.user_id, "n_comments": fv.n_comments}
+    if fv.atdc_s is not None:
+        obj["atdc_s"] = fv.atdc_s
+    obj["pchf_pct"] = fv.pchf_pct
+    obj["crr"] = fv.crr
+    obj["vidovp"] = fv.vidovp
+    obj["crav"] = fv.crav
+    return obj
+
+
+def encode_verdict(verdict: Verdict) -> dict:
+    """JSON object for a verdict, whose json.dumps verdict_to_json must write."""
+    triggered = [ind.value for ind in Indicator if ind in verdict.triggered]
+    return {
+        "user_id": verdict.user_id,
+        "label": verdict.label.value,
+        "triggered": triggered,
+        "features": encode_features(verdict.features),
+    }
+
+
+# --- reference JSONL reader --------------------------------------------------
+
+def reference_parse_jsonl(lines) -> tuple[list[CommentRecord], list[tuple[int, str]]]:
+    """(records, rejects) of JSONL lines, each decoded whole by JSONDecoder.decode.
+
+    The earlier reader, kept as an oracle for ingest.iter_jsonl: a line blank
+    under str.strip() is skipped, and a line is rejected by the name of its
+    ValidationError, or as ParseError.
+    """
+    decode = json.JSONDecoder().decode
+    records: list[CommentRecord] = []
+    rejects: list[tuple[int, str]] = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            rec = decode_record(decode(line))
+        except ValidationError as exc:
+            rejects.append((line_no, type(exc).__name__))
+        except ValueError:
+            rejects.append((line_no, "ParseError"))
+        else:
+            records.append(rec)
+    return records, rejects
 
 
 # --- random log suite -------------------------------------------------------
@@ -189,8 +274,6 @@ class FeedServer:
 
 def feed_page_records(user_id: str, start: int, count: int) -> list[dict]:
     """Canonical record objects for one feed page."""
-    from spamminer.model import encode_record
-
     return [
         encode_record(
             make_record(

@@ -39,6 +39,10 @@ def corpus_path(tmp_path):
     return path
 
 
+# A JSON array nested far deeper than the interpreter's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 # Inputs of which nothing parses: garbage-only JSONL, and CSV whose header is not UTF-8.
 REJECTED_INPUTS = [
     ("jsonl", b"not json\nstill not json\n"),
@@ -151,6 +155,24 @@ class TestScore:
         code = main(["score", "--input", str(mixed), "--output", str(tmp_path / "o.jsonl")])
         assert code == EXIT_OK
         assert f"{mixed}:2: rejected line (ParseError)" in capsys.readouterr().err
+
+    def test_deeply_nested_line_is_warning(self, corpus_path, tmp_path, capsys):
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(lines[0] + DEEP_JSON + b"\n" + b"".join(lines[1:]))
+        out = tmp_path / "o.jsonl"
+        code = main(["score", "--input", str(mixed), "--output", str(out)])
+        assert code == EXIT_OK
+        assert f"{mixed}:2: rejected line (ParseError)" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 10
+
+    def test_deeply_nested_config_is_config_error(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_bytes(DEEP_JSON)
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "verdicts.jsonl")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid JSON in {cfg_path}" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         code = main(["score", "--input", str(tmp_path / "absent.jsonl"),
@@ -311,6 +333,53 @@ class TestFetch:
         err = capsys.readouterr().err
         assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
         assert "fetched 1/2 users" in err
+
+    def test_lone_surrogate_in_directory_file(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
+        lone = record_to_json(make_record(user="alice", ts=2, cid="c2", text="hi")).replace(
+            '"text": "hi"', '"text": "\\ud800"')
+        (feed_dir / "alice.jsonl").write_text(good + "\n" + lone + "\n")
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert len(ingest.cache_get(cache_dir, "alice")) == 1
+        err = capsys.readouterr().err
+        assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (LoneSurrogate)" in err
+        assert "fetched 1/1 users" in err
+
+    def test_lone_surrogate_on_feed_page(self, tmp_path, capsys):
+        lone = [{**feed_page_records("bob", 0, 1)[0], "text": "\ud800"}]
+        feed = MockFeed(users={
+            "bob": MockUser(pages=[lone]),
+            "carol": MockUser(pages=[feed_page_records("carol", 0, 3)]),
+        })
+        users = tmp_path / "users.txt"
+        users.write_text("bob\ncarol\n")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["carol.jsonl"]
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': initial page: bad record: lone surrogate" in err
+        assert "fetched 1/2 users" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_page_limit_below_one_is_usage_error(self, tmp_path, capsys, limit):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n")
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(tmp_path / "cache"), "--page-limit", limit])
+        assert code == EXIT_USAGE
+        assert f"usage error: --page-limit must be at least 1: {limit}" in capsys.readouterr().err
 
     def test_all_users_fail(self, tmp_path):
         feed_dir = tmp_path / "feed"
@@ -520,6 +589,15 @@ class TestSynth:
     def test_non_utf8_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"
         spec.write_bytes(b'[{"kind": "bot", "count": 2, "note": "\xff"}]')
+        code = main(["synth", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == EXIT_CONFIG
+        assert f"config error: invalid JSON in {spec}" in capsys.readouterr().err
+
+
+    def test_deeply_nested_spec_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_bytes(DEEP_JSON)
         code = main(["synth", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG

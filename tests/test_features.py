@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from spamminer.features import (
     MODE_CANONICAL,
     MODE_RAW_BYTES,
+    NORMALIZATION_MODES,
     atdc,
     crav,
     crr,
@@ -216,6 +217,21 @@ def test_counting_formula_matches_brute_force(log):
         assert got is None
     else:
         assert got == pytest.approx(expected_atdc, rel=1e-12)
+
+
+@given(st.lists(st.tuples(st.text("ab ", max_size=3), st.sampled_from(["v1", "v2", "v3"])),
+                max_size=12),
+       st.sampled_from(NORMALIZATION_MODES))
+def test_census_matches_brute_force_with_mostly_distinct_texts(rows, mode):
+    """Logs with no, one or few matching texts, where the census takes its short cuts."""
+    log = build_log("u1", [make_record(ts=i, text=text, video=video)
+                           for i, (text, video) in enumerate(rows)])
+    pairs = [(normalize_text(text, mode), video) for text, video in rows]
+    assert crr(log, mode) == brute_pair_fraction(pairs, lambda a, b: a[0] == b[0])
+    assert vidovp(log) == brute_pair_fraction(pairs, lambda a, b: a[1] != b[1])
+    assert crav(log, mode) == brute_pair_fraction(
+        pairs, lambda a, b: a[0] == b[0] and a[1] != b[1]
+    )
 
 
 @given(log_strategy, st.randoms(use_true_random=False))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spamminer.ingest import (
     AllLinesRejected,
@@ -35,6 +37,7 @@ from helpers import (
     feed_page_records,
     make_record,
     random_log,
+    reference_parse_jsonl,
 )
 
 NO_BACKOFF = (0.0, 0.0, 0.0)
@@ -52,6 +55,14 @@ VALID_LINE = json.dumps({
 
 # One minute after 9999-12-31T23:59:59Z, the last instant format_rfc3339 can write.
 AFTER_YEAR_9999 = "9999-12-31T23:59:59-00:01"
+
+# A JSON array nested far deeper than the interpreter's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _with_text(escaped_text: str) -> str:
+    """VALID_LINE with its text replaced by a raw JSON string body."""
+    return VALID_LINE.replace('"text": "hi"', f'"text": "{escaped_text}"')
 
 
 class TestParseJsonl:
@@ -122,6 +133,29 @@ class TestParseJsonl:
         assert len(records) == 2
         assert report.rejects == [(2, "ParseError")]
 
+    def test_deeply_nested_line_rejected(self):
+        records, report = parse_jsonl(_jsonl([VALID_LINE, DEEP_JSON, VALID_LINE]))
+        assert len(records) == 2
+        assert report.rejects == [(2, "ParseError")]
+
+    @pytest.mark.parametrize("field", ["user_id", "video_id", "text", "comment_id"])
+    def test_lone_surrogate_rejected(self, field):
+        bad = json.loads(VALID_LINE)
+        bad[field] = "x\ud800"
+        records, report = parse_jsonl(_jsonl([VALID_LINE, json.dumps(bad), VALID_LINE]))
+        assert len(records) == 2
+        assert report.rejects == [(2, "LoneSurrogate")]
+
+    def test_lone_surrogate_in_text_mode_line_rejected(self):
+        line = json.dumps({**json.loads(VALID_LINE), "text": "\udfff"}, ensure_ascii=False)
+        records, report = parse_jsonl(io.StringIO(VALID_LINE + "\n" + line + "\n"))
+        assert len(records) == 1
+        assert report.rejects == [(2, "LoneSurrogate")]
+
+    def test_escaped_surrogate_pair_accepted(self):
+        records, _ = parse_jsonl(_jsonl([_with_text("\\ud83d\\ude00 \\u00e9")]))
+        assert records[0].text == "\U0001F600 \u00e9"
+
     @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
     def test_records_share_id_strings(self, user_id):
         lines = [json.dumps({
@@ -146,6 +180,41 @@ class TestRoundTrip:
 
 
 CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint"
+
+
+# Lines of JSONL input: valid and invalid records, padded with JSON and
+# non-JSON whitespace or followed by extra data, and blank lines.
+jsonl_records = st.fixed_dictionaries(
+    {"user_id": st.sampled_from(["u1", "u2", " ", ""]),
+     "video_id": st.sampled_from(["v1", "v2"]),
+     "published_at": st.sampled_from(["2021-01-01T00:00:00Z", "1970-01-01T00:00:00+01:00",
+                                      "yesterday"])},
+    optional={"text": st.text(max_size=5), "comment_id": st.sampled_from(["c1", "c2", 7]),
+              "has_spam_hint": st.sampled_from([True, False, "yes"])},
+)
+jsonl_padding = st.text(" \t\r\x0c\x0b\u3000", max_size=3)
+jsonl_lines = st.one_of(
+    st.tuples(jsonl_padding, jsonl_records.map(json.dumps), jsonl_padding,
+              st.sampled_from(["", "x", " 1 2", "{}"])).map("".join),
+    jsonl_padding,
+    st.sampled_from(["1 2", "[]", "null", "{", '"text"']),
+)
+
+
+class TestJsonlScanMatchesDecoder:
+    """iter_jsonl's one-scan reader accepts and rejects what JSONDecoder.decode does."""
+
+    @given(st.lists(jsonl_lines, max_size=8), st.booleans())
+    def test_same_records_and_rejects(self, lines, as_bytes):
+        stream = [line + "\n" for line in lines]
+        if as_bytes:
+            stream = [line.encode("utf-8") for line in stream]
+        report = IngestReport()
+        try:
+            records = list(iter_jsonl(stream, report))
+        except AllLinesRejected:
+            records = []
+        assert (records, report.rejects) == reference_parse_jsonl(stream)
 
 
 def _csv(lines: list[str]) -> io.BytesIO:
@@ -252,6 +321,24 @@ class TestParseCsv:
         assert first.user_id == "user-1"
         assert first.user_id is second.user_id
         assert first.video_id is second.video_id
+
+
+blank_cells = st.lists(st.text(" \t\r\n\x0b\x0c\u00a0\u3000", max_size=3), max_size=7)
+
+
+class TestCsvBlankRows:
+    @given(st.lists(st.one_of(blank_cells, st.just(None)), max_size=6))
+    def test_rows_of_blank_cells_are_skipped(self, rows):
+        """A row whose cells are all whitespace is skipped; every record row is attempted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)  # CRLF rows: a cell holding \r or \n is quoted
+        writer.writerow(CSV_HEADER.split(","))
+        good = "u1,c1,v1,2021-01-01T00:00:00Z,hi,false".split(",")
+        for row in rows:
+            writer.writerow(good if row is None else row)
+        records, report = parse_csv(io.BytesIO(buf.getvalue().encode("utf-8")))
+        assert len(records) == report.accepted == rows.count(None)
+        assert report.rejected == 0
 
 
 class TestGroupByUser:
@@ -391,6 +478,19 @@ class TestDecodePage:
         comment = {**json.loads(VALID_LINE), "published_at": AFTER_YEAR_9999}
         with pytest.raises(MalformedPage, match="bad record"):
             _decode_page(json.dumps({"comments": [comment]}).encode("utf-8"), None)
+
+    def test_deeply_nested_body_is_malformed(self):
+        with pytest.raises(MalformedPage, match="invalid JSON"):
+            _decode_page(DEEP_JSON.encode(), None)
+        with pytest.raises(MalformedPage, match="invalid JSON"):
+            _decode_page(b'{"comments": ' + DEEP_JSON.encode() + b"}", "p1")
+
+    @pytest.mark.parametrize("text", [b"\\ud800", b"\xed\xa0\x80"])
+    def test_lone_surrogate_is_malformed(self, text):
+        """A surrogate spelled as a JSON escape, or encoded in the UTF-8 bytes."""
+        comment = _with_text(text.decode("utf-8", "surrogatepass")).encode("utf-8", "surrogatepass")
+        with pytest.raises(MalformedPage, match="bad record: lone surrogate"):
+            _decode_page(b'{"comments": [' + comment + b"]}", None)
 
 
 class TestFetchHttp:

@@ -27,14 +27,20 @@ from spamminer.model import (
     Verdict,
     build_log,
     decode_record,
-    encode_record,
     format_rfc3339,
     parse_rfc3339,
     record_to_json,
     rule_config_from_obj,
+    verdict_to_json,
 )
 
-from helpers import make_record, reference_parse_rfc3339
+from helpers import (
+    encode_record,
+    encode_verdict,
+    make_record,
+    reference_format_rfc3339,
+    reference_parse_rfc3339,
+)
 
 
 class TestValidateRecord:
@@ -205,6 +211,15 @@ class TestTimestamps:
     def test_round_trip(self, ts):
         assert parse_rfc3339(format_rfc3339(ts)) == ts
 
+    @given(st.integers(min_value=0, max_value=253402300799))
+    def test_format_matches_reference(self, ts):
+        assert format_rfc3339(ts) == reference_format_rfc3339(ts)
+
+    @pytest.mark.parametrize("ts", [-1, 253402300800])
+    def test_format_rejects_unwritable_instants(self, ts):
+        with pytest.raises(ValueError):
+            format_rfc3339(ts)
+
     @pytest.mark.parametrize("value", [
         "2021-06-01",  # date only
         "2021-W22-2",  # ISO week date
@@ -297,6 +312,56 @@ class TestRecordWireFormat:
             })
 
 
+# Strings a JSON encoder must escape or may pass through: quotes, backslashes,
+# control characters, U+2028/U+2029, DEL, and characters beyond ASCII and the BMP.
+wire_text = st.text(st.one_of(
+    st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u2028\u2029é中😀 '),
+    st.characters(),
+))
+wire_id = wire_text.filter(str.strip)
+
+wire_records = st.builds(
+    CommentRecord,
+    user_id=wire_id,
+    video_id=wire_id,
+    timestamp_s=st.integers(min_value=0, max_value=253402300799),
+    text=wire_text,
+    has_spam_hint=st.booleans(),
+    comment_id=st.none() | wire_text,
+)
+
+
+@st.composite
+def wire_verdicts(draw):
+    n = draw(st.integers(min_value=0, max_value=10_000))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    crr, vidovp = draw(unit), draw(unit)
+    fv = FeatureVector(
+        user_id=draw(wire_text),
+        n_comments=n,
+        atdc_s=draw(st.floats(min_value=0.0, allow_infinity=False)) if n >= 2 else None,
+        pchf_pct=draw(st.floats(min_value=0.0, max_value=100.0)),
+        crr=crr,
+        vidovp=vidovp,
+        crav=draw(st.floats(min_value=0.0, max_value=min(crr, vidovp))),
+    )
+    triggered = draw(st.frozensets(st.sampled_from(Indicator)))
+    label = Label.SPAMMER if triggered else draw(st.sampled_from([Label.LEGIT, Label.INSUFFICIENT]))
+    return Verdict(fv.user_id, label, triggered, fv)
+
+
+class TestLineEncoders:
+    """The line encoders write exactly json.dumps of the canonical objects."""
+
+    @given(wire_records)
+    def test_record_line_is_json_dumps(self, rec):
+        assert record_to_json(rec) == json.dumps(encode_record(rec), ensure_ascii=False)
+
+    @given(wire_verdicts())
+    def test_verdict_line_is_json_dumps(self, verdict):
+        assert verdict_to_json(verdict) == json.dumps(encode_verdict(verdict), ensure_ascii=False)
+
+
 class TestFeatureVectorInvariants:
     def test_atdc_required_for_two_comments(self):
         with pytest.raises(ValueError):
@@ -313,6 +378,11 @@ class TestFeatureVectorInvariants:
     def test_pchf_range(self):
         with pytest.raises(ValueError):
             FeatureVector("u1", 3, 1.0, 101.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("atdc_s", [float("nan"), float("inf"), -1.0])
+    def test_atdc_finite_and_non_negative(self, atdc_s):
+        with pytest.raises(ValueError):
+            FeatureVector("u1", 3, atdc_s, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestRuleConfig:
