@@ -11,7 +11,7 @@ clause that fired, not just the first, so results stay explainable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CLAUSES, FeatureVector, Label, RuleConfig, Verdict
 
@@ -25,8 +25,7 @@ def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
     return Verdict(fv.user_id, label, triggered, fv)
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     """Element-wise verdicts, input order preserved.
 
     Label counts are report.summarize(list(verdicts))["labels"].

@@ -18,11 +18,12 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from . import classifier, features, ingest, report, synth
+from . import classifier, features, ingest
 from .model import (
     CLAUSES,
     ConfigError,
     FeatureVector,
+    Label,
     MixedUsers,
     RuleConfig,
     build_log,
@@ -166,7 +167,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.explain:
         for verdict in batch.verdicts:
             _warn(_explain(verdict, cfg))
-    labels = report.summarize(list(batch.verdicts))["labels"]
+    labels = {label.value: 0 for label in Label}
+    for verdict in batch.verdicts:
+        labels[verdict.label.value] += 1
     _warn(f"scored {len(batch.verdicts)} users: {labels}")
     return EXIT_OK
 
@@ -200,6 +203,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # imported here: only synth needs it, so other commands start faster
+
     specs = synth.load_persona_specs(args.spec) if args.spec else synth.benchmark_specs()
     corpus = synth.generate(specs, args.seed)
     corpus_path, truth_path = synth.write_corpus(corpus, args.out)
@@ -209,6 +214,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import report  # imported here: only report needs it, so other commands start faster
+
     if args.figures.strip().lower() == "all":
         figure_ids = list(report.FIGURE_IDS)
     else:
@@ -249,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _warn(f"usage error: {exc}")
         return EXIT_USAGE
-    except (ConfigError, synth.InvalidSpec) as exc:
+    except ConfigError as exc:  # a bad rule config, or a bad persona spec (synth.InvalidSpec)
         _warn(f"config error: {exc}")
         return EXIT_CONFIG
     except (ingest.AllLinesRejected, ingest.MissingHeader) as exc:

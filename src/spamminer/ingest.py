@@ -24,17 +24,17 @@ import os
 import tempfile
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 from urllib.parse import quote, urlencode
 
 from .model import (
     CommentRecord,
     UserActivityLog,
     ValidationError,
+    _Value,
     build_log,
     check_no_surrogates,
     decode_record,
@@ -76,18 +76,21 @@ class UserNotFound(LookupError):
     """The endpoint has no log for the requested user."""
 
 
-@dataclass
-class IngestReport:
+class IngestReport(_Value):
     """Tally of accepted vs rejected input lines.
 
     rejects holds (line number, error name) for every rejected line, in
     input order. accepted + rejected equals the number of lines attempted
-    (blank lines and the CSV header are not attempted).
+    (blank lines and the CSV header are not attempted). Mutable, so unhashable.
     """
 
-    accepted: int = 0
-    rejected: int = 0
-    rejects: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("accepted", "rejected", "rejects")
+
+    def __init__(self, accepted: int = 0, rejected: int = 0,
+                 rejects: list[tuple[int, str]] | None = None) -> None:
+        self.accepted = accepted
+        self.rejected = rejected
+        self.rejects = [] if rejects is None else rejects
 
     def reject(self, line_no: int, error_name: str) -> None:
         self.rejected += 1
@@ -171,7 +174,8 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
     MissingHeader is raised when the first record is asked for.
     """
     not_utf8: list[int] = []
-    reader = csv.reader(_csv_lines(stream, not_utf8))
+    non_ascii_text: list[int] = []
+    reader = csv.reader(_csv_lines(stream, not_utf8, non_ascii_text))
     try:
         header = next(reader)
     except StopIteration:
@@ -212,6 +216,9 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
             rec = CommentRecord(row[user_col], row[video_col],
                                 parse_rfc3339(row[published_col].strip()),
                                 row[text_col], hint, comment_id or None)
+            # Decoded UTF-8 holds no surrogate; a text-mode line may, if it is not ASCII.
+            if non_ascii_text and non_ascii_text[-1] >= line_no:
+                check_no_surrogates(rec)
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
         except ValueError:  # a ParseError, or a bad published_at
@@ -223,11 +230,15 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
         raise AllLinesRejected(report)
 
 
-def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
+def _csv_lines(
+    stream: IO | Iterable, not_utf8: list[int], non_ascii_text: list[int]
+) -> Iterator[str]:
     """Yield each physical line as text; append the number of each non-UTF-8 line to not_utf8.
 
     Such a line is yielded with replacement characters, so the CSV reader
-    keeps its place, and parse_csv rejects the row that spans it.
+    keeps its place, and parse_csv rejects the row that spans it. The number
+    of each line that came as text, not bytes, and is not ASCII goes to
+    non_ascii_text: only such a line can hold a lone surrogate.
     """
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
@@ -236,6 +247,8 @@ def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
             except UnicodeDecodeError:
                 not_utf8.append(line_no)
                 line = line.decode("utf-8", "replace")
+        elif not line.isascii():
+            non_ascii_text.append(line_no)
         yield line
 
 
@@ -273,8 +286,7 @@ DEFAULT_PAGE_LIMIT = 20
 RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     """A fetched log plus whether the page limit truncated it.
 
     rejects holds (line number, error name) for every line of a directory

@@ -22,7 +22,6 @@ import operator
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum
 from json.encoder import encode_basestring as _quote
@@ -109,22 +108,65 @@ class CommentRecord(_CommentRecordFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class UserActivityLog:
+class _Value:
+    """Base of the value types: a slot per field, equal by value within one type only.
+
+    repr is Type(field=value, ...); copy and pickle rebuild an object through
+    __init__, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set_field = object.__setattr__
+
+
+class _Frozen(_Value):
+    """A hashable _Value: __init__ sets each field once, with _set_field; none can change."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class UserActivityLog(_Frozen):
     """One user's recent comment records, ascending by timestamp.
 
     Construct via build_log, which sorts, deduplicates, and checks ownership.
     """
 
-    user_id: str
-    records: tuple[CommentRecord, ...]
+    __slots__ = ("user_id", "records")
 
-    def __post_init__(self) -> None:
+    def __init__(self, user_id: str, records: tuple[CommentRecord, ...]) -> None:
+        _set_field(self, "user_id", user_id)
+        _set_field(self, "records", records)
         seen_ids: set[str] = set()
         times: list[int] = []
-        for uid, _, ts, _, _, cid in self.records:
-            if uid != self.user_id:
-                raise MixedUsers(f"record for {uid!r} in log of {self.user_id!r}")
+        for uid, _, ts, _, _, cid in records:
+            if uid != user_id:
+                raise MixedUsers(f"record for {uid!r} in log of {user_id!r}")
             if cid is not None:
                 if cid in seen_ids:
                     raise ValueError(f"duplicate comment_id {cid!r}")
@@ -157,8 +199,7 @@ def build_log(user_id: str, records: list[CommentRecord]) -> UserActivityLog:
     return UserActivityLog(user_id=user_id, records=tuple(deduped))
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
+class FeatureVector(_Frozen):
     """Per-user values of the usage-based spam indicators.
 
     atdc_s    mean absolute time difference over all unordered comment pairs,
@@ -171,15 +212,17 @@ class FeatureVector:
               video, 0..1. Always <= min(crr, vidovp).
     """
 
-    user_id: str
-    n_comments: int
-    atdc_s: float | None
-    pchf_pct: float
-    crr: float
-    vidovp: float
-    crav: float
+    __slots__ = ("user_id", "n_comments", "atdc_s", "pchf_pct", "crr", "vidovp", "crav")
 
-    def __post_init__(self) -> None:
+    def __init__(self, user_id: str, n_comments: int, atdc_s: float | None, pchf_pct: float,
+                 crr: float, vidovp: float, crav: float) -> None:
+        _set_field(self, "user_id", user_id)
+        _set_field(self, "n_comments", n_comments)
+        _set_field(self, "atdc_s", atdc_s)
+        _set_field(self, "pchf_pct", pchf_pct)
+        _set_field(self, "crr", crr)
+        _set_field(self, "vidovp", vidovp)
+        _set_field(self, "crav", crav)
         if self.n_comments < 0:
             raise ValueError("n_comments is negative")
         if (self.atdc_s is not None) != (self.n_comments >= 2):
@@ -247,8 +290,7 @@ CLAUSES = (
 )
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(_Frozen):
     """Thresholds for the spammer rule (the OR of CLAUSES).
 
     The rule applies only to users with strictly more than min_comments
@@ -256,13 +298,15 @@ class RuleConfig:
     empirically derived values; they are configuration, not constants.
     """
 
-    min_comments: int = 5
-    pchf_gt: float = 70.0
-    atdc_lt_s: float = 150.0
-    comovp_gt: float = 0.60
-    vidovp_gt: float = 0.60
+    __slots__ = ("min_comments", "pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt")
 
-    def __post_init__(self) -> None:
+    def __init__(self, min_comments: int = 5, pchf_gt: float = 70.0, atdc_lt_s: float = 150.0,
+                 comovp_gt: float = 0.60, vidovp_gt: float = 0.60) -> None:
+        _set_field(self, "min_comments", min_comments)
+        _set_field(self, "pchf_gt", pchf_gt)
+        _set_field(self, "atdc_lt_s", atdc_lt_s)
+        _set_field(self, "comovp_gt", comovp_gt)
+        _set_field(self, "vidovp_gt", vidovp_gt)
         if self.min_comments < 1:
             raise ConfigError(f"min_comments must be positive: {self.min_comments}")
         for clause in CLAUSES:
@@ -277,18 +321,23 @@ class RuleConfig:
                 raise ConfigError(f"{name} out of range [0, 1]: {value}")
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    """Classification of one user, with the indicators that fired."""
+class Verdict(_Frozen):
+    """Classification of one user, with the indicators that fired; repr omits the features."""
 
-    user_id: str
-    label: Label
-    triggered: frozenset[Indicator]
-    features: FeatureVector = field(repr=False)
+    __slots__ = ("user_id", "label", "triggered", "features")
 
-    def __post_init__(self) -> None:
-        if (self.label is Label.SPAMMER) != bool(self.triggered):
+    def __init__(self, user_id: str, label: Label, triggered: frozenset[Indicator],
+                 features: FeatureVector) -> None:
+        _set_field(self, "user_id", user_id)
+        _set_field(self, "label", label)
+        _set_field(self, "triggered", triggered)
+        _set_field(self, "features", features)
+        if (label is Label.SPAMMER) != bool(triggered):
             raise ValueError("label spammer iff triggered is non-empty")
+
+    def __repr__(self) -> str:
+        return (f"Verdict(user_id={self.user_id!r}, label={self.label!r}, "
+                f"triggered={self.triggered!r})")
 
 
 # --- timestamp wire format -------------------------------------------------
@@ -430,7 +479,7 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
     """
     if not isinstance(obj, dict):
         raise ConfigError("rule config must be a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(RuleConfig)} - {"combine"})
+    unknown = sorted(set(obj) - set(RuleConfig.__slots__) - {"combine"})
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
     combine = obj.get("combine", "or")

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import FeatureVector, Indicator, Label, RuleConfig, Verdict
 
@@ -38,8 +38,7 @@ class UnsupportedFigure(ValueError):
     """Raised when an operation does not apply to the given figure."""
 
 
-@dataclass(frozen=True)
-class FigureDataset:
+class FigureDataset(NamedTuple):
     """Projected axis values for one figure, one row per gated user."""
 
     figure_id: str

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .model import CommentRecord, record_to_json
+from .model import CommentRecord, ConfigError, record_to_json
 
 
-class InvalidSpec(ValueError):
+class InvalidSpec(ConfigError):
     """A persona spec field is out of range or does not apply to the kind."""
 
 

@@ -579,12 +579,13 @@ class TestSynth:
         truth = json.loads((tmp_path / "c.truth.json").read_text())
         assert sorted(truth) == ["bot-0000", "bot-0001"]
 
-    def test_invalid_spec_is_config_error(self, tmp_path):
+    def test_invalid_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"
         spec.write_text(json.dumps([{"kind": "bot", "count": -2}]))
         code = main(["synth", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "spamminer: config error: count must be >= 0: -2\n"
 
     def test_non_utf8_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"

@@ -310,6 +310,25 @@ class TestParseCsv:
         assert [rec.comment_id for rec in records] == ["c1", "c4"]
         assert report.rejects == [(3, "ParseError"), (4, "ParseError")]
 
+    @pytest.mark.parametrize("cell", [0, 1, 2, 4])  # user_id, comment_id, video_id, text
+    def test_lone_surrogate_in_text_mode_row_rejected(self, tmp_path, cell):
+        good = "u1,c1,v1,2021-01-01T00:00:00Z,x,false".split(",")
+        bad = "u1,c2,v1,2021-01-01T00:00:01Z,y,false".split(",")
+        bad[cell] += "\ud800"
+        multi_line = 'u1,c3,v1,2021-01-01T00:00:02Z,"two\nlines \udfff",false'
+        stream = io.StringIO("\n".join([CSV_HEADER, ",".join(good), ",".join(bad), multi_line,
+                                        "u1,c4,v1,2021-01-01T00:00:03Z,é,false"]) + "\n")
+        records, report = parse_csv(stream)
+        assert [rec.comment_id for rec in records] == ["c1", "c4"]
+        assert report.rejects == [(3, "LoneSurrogate"), (4, "LoneSurrogate")]
+        cache_put(tmp_path, build_log("u1", records))  # every accepted record can be written
+
+    def test_surrogate_in_an_unused_column_is_ignored(self):
+        stream = io.StringIO(CSV_HEADER + ",note\nu1,c1,v1,2021-01-01T00:00:00Z,x,false,\ud800\n")
+        records, report = parse_csv(stream)
+        assert report.accepted == 1
+        assert records[0].text == "x"
+
     @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
     def test_records_share_id_strings(self, user_id):
         stream = _csv([

@@ -263,12 +263,25 @@ class TestTimestamps:
         assert parse_rfc3339(value) == reference_parse_rfc3339(canonical)
 
 
-def test_cli_import_leaves_http_client_unloaded():
+def _modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
+    """Which of names a fresh interpreter holds after `import spamminer.cli`.
+
+    -B keeps the child from writing bytecode caches into the source tree.
+    """
     src = Path(__import__("spamminer").__file__).parents[1]
-    code = "import sys, spamminer.cli; print('requests' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+    code = f"import sys, spamminer.cli; print(*[m for m in {names!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    assert _modules_loaded_by_cli_import(("requests",)) == []
+
+
+def test_cli_import_loads_only_what_score_and_fetch_run():
+    unneeded = ("requests", "dataclasses", "spamminer.synth", "spamminer.report")
+    assert _modules_loaded_by_cli_import(unneeded) == []
 
 
 class TestRecordWireFormat:
