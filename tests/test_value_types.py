@@ -127,14 +127,6 @@ class TestModelValues:
         assert RuleConfig(vidovp_gt=0.9).vidovp_gt == 0.9
         assert RuleConfig(vidovp_gt=0.9) != cfg
 
-    def test_len_of_log(self):
-        assert len(_log()) == 2
-        assert len(UserActivityLog("u1", ())) == 0
-
-    def test_slotted_types_have_no_instance_dict(self):
-        for obj in (_log(), _fv(), _verdict()):
-            assert not hasattr(obj, "__dict__"), type(obj).__name__
-
 
 class TestResultHolders:
     def test_keyword_construction_and_defaults(self):
