@@ -28,7 +28,7 @@ def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
 class BatchResult(NamedTuple):
     """Element-wise verdicts, input order preserved.
 
-    Label counts are report.summarize(list(verdicts))["labels"].
+    Label counts are report.summarize(verdicts)["labels"].
     """
 
     verdicts: tuple[Verdict, ...]

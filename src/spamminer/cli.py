@@ -158,19 +158,19 @@ def _explain(verdict, cfg: RuleConfig) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    batch = classifier.classify_batch(_corpus_features(args), cfg)
+    fvs = _corpus_features(args)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for verdict in batch.verdicts:
-            fh.write(verdict_to_json(verdict) + "\n")
-    if args.explain:
-        for verdict in batch.verdicts:
-            _warn(_explain(verdict, cfg))
     labels = {label.value: 0 for label in Label}
-    for verdict in batch.verdicts:
-        labels[verdict.label.value] += 1
-    _warn(f"scored {len(batch.verdicts)} users: {labels}")
+    # Each verdict is written as it is made, so only one is alive at a time.
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        for fv in fvs:
+            verdict = classifier.classify(fv, cfg)
+            fh.write(verdict_to_json(verdict) + "\n")
+            if args.explain:
+                _warn(_explain(verdict, cfg))
+            labels[verdict.label.value] += 1
+    _warn(f"scored {len(fvs)} users: {labels}")
     return EXIT_OK
 
 
@@ -230,8 +230,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         report.write_figure_csv(ds, args.outdir)
         if args.svg and len(ds.columns) == 2:
             report.write_figure_svg(ds, args.outdir)
-    batch = classifier.classify_batch(fvs, cfg)
-    report.write_summary(report.summarize(list(batch.verdicts)), args.outdir)
+    report.write_summary(report.summarize(classifier.classify(fv, cfg) for fv in fvs),
+                         args.outdir)
     _warn(f"wrote {len(figure_ids)} figure dataset(s) and summary.json to {args.outdir}")
     return EXIT_OK
 

@@ -48,7 +48,7 @@ class ParseError(ValueError):
 
 
 class MissingHeader(ValueError):
-    """A CSV input lacks one or more required header columns, or its header is not UTF-8."""
+    """A CSV header lacks a required column, names a column twice, or is not UTF-8."""
 
 
 class AllLinesRejected(ValueError):
@@ -160,9 +160,10 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
 
     The first row must be a header containing at least user_id, video_id,
     published_at, text, and has_spam_hint (comment_id is optional); quoted
-    fields may contain commas and newlines. Raises MissingHeader when a
-    required column is absent or the header is not UTF-8. Reject line
-    numbers refer to physical lines in the file, as with JSONL.
+    fields may contain commas and newlines. One leading byte order mark is
+    dropped. Raises MissingHeader when a required column is absent, a column
+    it reads is named twice, or the header is not UTF-8. Reject line numbers
+    refer to physical lines in the file, as with JSONL.
     """
     report = IngestReport()
     return list(iter_csv(stream, report)), report
@@ -182,10 +183,15 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
         return
     if not_utf8:
         raise MissingHeader("header line is not UTF-8")
+    if header:  # a spreadsheet's "CSV UTF-8" export starts the file with a byte order mark
+        header[0] = header[0].removeprefix("\ufeff")
     columns = [name.strip() for name in header]
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
     if missing:
         raise MissingHeader(f"missing column: {missing[0]!r}")
+    repeated = [name for name in (*CSV_REQUIRED_COLUMNS, "comment_id") if columns.count(name) > 1]
+    if repeated:  # which of the two to read would be a guess
+        raise MissingHeader(f"duplicate column: {repeated[0]!r}")
     user_col, video_col, published_col, text_col, hint_col = (
         columns.index(name) for name in CSV_REQUIRED_COLUMNS)
     comment_id_col = columns.index("comment_id") if "comment_id" in columns else None

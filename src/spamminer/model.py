@@ -499,11 +499,25 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
     return RuleConfig(**kwargs)
 
 
+def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: the object as a dict, or ValueError naming a repeated key.
+
+    Plain json keeps the last of two equal keys without a word, so a config
+    that sets a threshold twice would silently drop one setting.
+    """
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_rule_config(path: str) -> RuleConfig:
-    """Load a RuleConfig from a UTF-8 JSON file."""
+    """Load a RuleConfig from a UTF-8 JSON file; a key given twice is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=reject_duplicate_keys)
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return rule_config_from_obj(obj)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import FeatureVector, Indicator, Label, RuleConfig, Verdict
 
@@ -84,8 +84,8 @@ def figure_csv(ds: FigureDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(verdicts: list[Verdict]) -> dict:
-    """Counts by label and by triggered indicator, plus corpus totals."""
+def summarize(verdicts: Iterable[Verdict]) -> dict:
+    """Counts by label and by triggered indicator, plus corpus totals, in one pass."""
     labels = {label.value: 0 for label in Label}
     triggered = {ind.value: 0 for ind in Indicator}
     total_comments = 0

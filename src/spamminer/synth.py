@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .model import CommentRecord, ConfigError, record_to_json
+from .model import CommentRecord, ConfigError, record_to_json, reject_duplicate_keys
 
 
 class InvalidSpec(ConfigError):
@@ -322,10 +322,10 @@ def persona_spec_from_obj(obj: dict) -> PersonaSpec:
 
 
 def load_persona_specs(path: str) -> list[PersonaSpec]:
-    """Load a JSON array of persona specs from a UTF-8 file."""
+    """Load a JSON array of persona specs from a UTF-8 file; a key given twice is InvalidSpec."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=reject_duplicate_keys)
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise InvalidSpec(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):

@@ -8,7 +8,10 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,15 @@ class TestScore:
         assert code == EXIT_CONFIG
         assert f"config error: invalid JSON in {cfg_path}" in capsys.readouterr().err
 
+    def test_config_key_given_twice_is_config_error(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_text('{"pchf_gt": 10, "pchf_gt": 90}')
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "verdicts.jsonl")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"spamminer: config error: invalid JSON in {cfg_path}: duplicate key: 'pchf_gt'\n")
+
     def test_pure_garbage_input(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\nstill not json\n")
@@ -193,6 +205,30 @@ class TestScore:
         assert code == EXIT_OK
         assert json.loads(out.read_text().splitlines()[0])["features"]["n_comments"] == 8
 
+    def test_csv_column_named_twice_is_rejected_input(self, tmp_path, capsys):
+        csv_path = tmp_path / "corpus.csv"
+        csv_path.write_text(CSV_HEADER.rstrip("\n") + ",user_id\n"
+                            "u1,c1,v1,2021-01-01T00:00:00Z,hi,false,u2\n")
+        out = tmp_path / "verdicts.jsonl"
+        code = main(["score", "--input", str(csv_path), "--format", "csv",
+                     "--output", str(out)])
+        assert code == EXIT_REJECTED
+        assert capsys.readouterr().err == (
+            "spamminer: input rejected: duplicate column: 'user_id'\n")
+        assert not out.exists()
+
+
+# synth, score --explain and report --svg, run in the working directory of a child process.
+_SYNTH_SCORE_REPORT = """
+import sys
+from spamminer.cli import main
+for argv in (["synth", "--seed", "2011", "--out", "corpus.jsonl"],
+             ["score", "--input", "corpus.jsonl", "--explain", "--output", "verdicts.jsonl"],
+             ["report", "--input", "corpus.jsonl", "--svg", "--outdir", "figs"]):
+    if main(argv):
+        sys.exit(1)
+"""
+
 
 class TestGoldenOutputs:
     """Byte-identical outputs on the default benchmark mix, seed 2011."""
@@ -212,6 +248,24 @@ class TestGoldenOutputs:
             "summary.json": "ab143be61403f0cc6e5f2c5fc66246b72023a42903dc570fd00516593dc772bf",
             "fig6.csv": "2f866ebb63724ab1e5078de8ec2b74028b12ce5683b4b4b840000a6069a88f68",
         }
+
+    def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
+        # One process cannot see iteration order that follows the hash seed; two can.
+        src = Path(cli.__file__).parents[1]
+        runs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"hashseed-{hash_seed}"
+            cwd.mkdir()
+            child = subprocess.run([sys.executable, "-B", "-c", _SYNTH_SCORE_REPORT], cwd=cwd,
+                                   env={"PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+                                   capture_output=True, check=True)
+            outputs = {path.relative_to(cwd).as_posix(): path.read_bytes()
+                       for path in sorted(cwd.rglob("*")) if path.is_file()}
+            outputs["stderr"] = child.stderr
+            runs.append(outputs)
+        assert {"verdicts.jsonl", "figs/summary.json", "figs/fig2.svg"} <= set(runs[0])
+        assert b"bot-0000: spammer [" in runs[0]["stderr"]
+        assert runs[0] == runs[1]
 
 
 class TestFetch:
@@ -562,6 +616,31 @@ class TestInputOrder:
             assert read_at_vector[user] < limit
         assert lines_read == total_lines
 
+    @pytest.mark.parametrize("case", ["contiguous", "shuffled"])
+    def test_one_verdict_at_a_time(self, tmp_path, monkeypatch, case):
+        # Each user's verdict is encoded before the next user is classified.
+        transform, _ = ORDER_CASES[case]
+        records = transform(_contiguous_records())
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(_render(records, "jsonl"))
+        events = []
+        classify, encode = classifier.classify, cli.verdict_to_json
+
+        def logged_classify(fv, *args):
+            events.append(("classify", fv.user_id))
+            return classify(fv, *args)
+
+        def logged_encode(verdict):
+            events.append(("encode", verdict.user_id))
+            return encode(verdict)
+
+        monkeypatch.setattr(classifier, "classify", logged_classify)
+        monkeypatch.setattr(cli, "verdict_to_json", logged_encode)
+        assert main(["score", "--input", str(corpus), "--explain",
+                     "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
+        users = sorted({rec.user_id for rec in records})
+        assert events == [(step, user) for user in users for step in ("classify", "encode")]
+
 
 class TestSynth:
     def test_deterministic_output_files(self, tmp_path):
@@ -586,6 +665,15 @@ class TestSynth:
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "spamminer: config error: count must be >= 0: -2\n"
+
+    def test_spec_key_given_twice_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "personas.json"
+        spec.write_text('[{"kind": "bot", "count": 2, "count": 3}]')
+        code = main(["synth", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"spamminer: config error: invalid JSON in {spec}: duplicate key: 'count'\n")
 
     def test_non_utf8_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"

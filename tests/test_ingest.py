@@ -238,6 +238,32 @@ class TestParseCsv:
         with pytest.raises(MissingHeader, match="video_id"):
             parse_csv(_csv(["user_id,published_at,text,has_spam_hint", "u1,t,x,1"]))
 
+    @pytest.mark.parametrize("extra", ["user_id", " text ", "comment_id"])
+    def test_column_named_twice_rejected(self, extra):
+        # Which of two user_id cells to read would be a guess, so neither is.
+        stream = _csv([f"{CSV_HEADER},{extra}", "u1,c1,v1,2021-01-01T00:00:00Z,x,false,other"])
+        with pytest.raises(MissingHeader, match=f"duplicate column: {extra.strip()!r}"):
+            parse_csv(stream)
+
+    def test_unread_column_may_repeat(self):
+        stream = _csv([f"{CSV_HEADER},note,note", "u1,c1,v1,2021-01-01T00:00:00Z,x,false,a,b"])
+        records, _ = parse_csv(stream)
+        assert [rec.user_id for rec in records] == ["u1"]
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_byte_order_mark_dropped(self, as_text):
+        # A spreadsheet's "CSV UTF-8" export begins with U+FEFF.
+        data = "\ufeff" + CSV_HEADER + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n"
+        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
+        records, report = parse_csv(stream)
+        assert [rec.user_id for rec in records] == ["u1"]
+        assert report.accepted == 1
+
+    def test_only_one_byte_order_mark_dropped(self):
+        stream = io.BytesIO(("\ufeff\ufeff" + CSV_HEADER + "\n").encode("utf-8"))
+        with pytest.raises(MissingHeader, match="missing column: 'user_id'"):
+            parse_csv(stream)
+
     def test_non_utf8_header_rejected(self):
         stream = io.BytesIO(CSV_HEADER.encode("utf-8") + b",note\xff\n"
                             b"u1,c1,v1,2021-01-01T00:00:00Z,x,false,n\n")
