@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
@@ -120,29 +121,34 @@ def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
     """Parse --input and compute each user's feature vector, sorted by user_id.
 
     A file that keeps each user's records in one contiguous run is scored one
-    user at a time, as each run ends; only the feature vectors are kept.
-    Another file is read a second time and grouped whole. A pipe cannot be
-    read twice, so it is grouped whole at once.
+    user at a time, as each run ends; only the vectors are kept, keyed by
+    user_id. At the first user_id that comes back, the file is read again and
+    grouped whole. A pipe cannot be read twice, so it is grouped whole at once.
     """
     records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
+    fvs: dict[str, FeatureVector] = {}
     with open(args.input, "rb") as fh:
         rep = ingest.IngestReport()
-        fvs = None
-        if fh.seekable():
-            try:
-                fvs = [features.feature_vector(build_log(user_id, run), args.normalization)
-                       for user_id, run in ingest.user_runs(records_of(fh, rep))]
-                fvs.sort(key=attrgetter("user_id"))
-            except ingest.NotGrouped:
-                fh.seek(0)
-                rep = ingest.IngestReport()
-        if fvs is None:
-            fvs = [features.feature_vector(log, args.normalization)
-                   for log in ingest.group_by_user(records_of(fh, rep))]
+        grouped = fh.seekable()
+        if grouped:
+            for user_id, run in groupby(records_of(fh, rep), key=attrgetter("user_id")):
+                if user_id in fvs:  # the first repeat: this user's vector is incomplete
+                    fvs.clear()
+                    fh.seek(0)
+                    rep = ingest.IngestReport()
+                    grouped = False
+                    break
+                fvs[user_id] = features.feature_vector(build_log(user_id, list(run)),
+                                                       args.normalization)
+        if not grouped:
+            logs = ingest.group_by_user(records_of(fh, rep))
+            while logs:  # each log is freed once its vector is made
+                log = logs.pop()
+                fvs[log.user_id] = features.feature_vector(log, args.normalization)
     _warn_rejects(args.input, rep.rejects)
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return fvs
+    return [fvs[user_id] for user_id in sorted(fvs)]
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
@@ -178,7 +184,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     if args.page_limit < 1:
         raise UsageError(f"--page-limit must be at least 1: {args.page_limit}")
     try:
-        text = Path(args.users).read_text(encoding="utf-8")
+        text = Path(args.users).read_text(encoding="utf-8-sig")  # drops one leading BOM
     except UnicodeDecodeError as exc:
         raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None
     users = [line.strip() for line in text.splitlines() if line.strip()]

@@ -24,8 +24,7 @@ import os
 import tempfile
 import time
 from collections import defaultdict
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 from urllib.parse import quote, urlencode
@@ -101,14 +100,15 @@ class IngestReport(_Value):
 # accepted when, stripped of JSON whitespace, it scans to its end.
 _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
+_BOM = "\ufeff"
 
 
 def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
     """Parse canonical JSON-Lines input, one record attempted per non-empty line.
 
     Malformed lines are recorded in the report and skipped; they never abort
-    the stream. Raises AllLinesRejected when the input had lines but none
-    parsed.
+    the stream. One byte order mark at the start of line 1 is dropped.
+    Raises AllLinesRejected when the input had lines but none parsed.
     """
     report = IngestReport()
     return list(iter_jsonl(stream, report)), report
@@ -120,7 +120,12 @@ def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentR
     Raises AllLinesRejected when the stream is exhausted with lines but no
     record.
     """
-    for line_no, line in enumerate(stream, start=1):
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is not None:  # an editor may start a UTF-8 file with a byte order mark
+        bom = _BOM if isinstance(first, str) else _BOM.encode("utf-8")
+        lines = chain((first.removeprefix(bom),), lines)
+    for line_no, line in enumerate(lines, start=1):
         try:
             if isinstance(line, bytes):
                 text = line.decode("utf-8").strip(_JSON_WHITESPACE)
@@ -184,7 +189,7 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
     if not_utf8:
         raise MissingHeader("header line is not UTF-8")
     if header:  # a spreadsheet's "CSV UTF-8" export starts the file with a byte order mark
-        header[0] = header[0].removeprefix("\ufeff")
+        header[0] = header[0].removeprefix(_BOM)
     columns = [name.strip() for name in header]
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
     if missing:
@@ -264,26 +269,6 @@ def group_by_user(records: Iterable[CommentRecord]) -> list[UserActivityLog]:
     for rec in records:
         by_user[rec.user_id].append(rec)
     return [build_log(user_id, recs) for user_id, recs in sorted(by_user.items())]
-
-
-class NotGrouped(ValueError):
-    """A user_id reappeared after the run of its records had ended."""
-
-
-def user_runs(records: Iterable[CommentRecord]) -> Iterator[tuple[str, list[CommentRecord]]]:
-    """Yield (user_id, records) for each contiguous run of one user's records.
-
-    A run is complete, and yielded, once the next user_id starts, so only one
-    user's records are held at a time. Raises NotGrouped when a user_id
-    whose run has ended appears again; the runs yielded so far are then
-    incomplete, and the input has to be grouped whole (group_by_user).
-    """
-    finished: set[str] = set()
-    for user_id, run in groupby(records, key=attrgetter("user_id")):
-        if user_id in finished:
-            raise NotGrouped(f"records of {user_id!r} are not contiguous")
-        finished.add(user_id)
-        yield user_id, list(run)
 
 
 # --- paged feed client -----------------------------------------------------

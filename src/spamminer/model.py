@@ -499,8 +499,12 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
     return RuleConfig(**kwargs)
 
 
+class DuplicateKey(ValueError):
+    """A JSON object names one key twice."""
+
+
 def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json object_pairs_hook: the object as a dict, or ValueError naming a repeated key.
+    """json object_pairs_hook: the object as a dict, or DuplicateKey naming a repeated key.
 
     Plain json keeps the last of two equal keys without a word, so a config
     that sets a threshold twice would silently drop one setting.
@@ -508,16 +512,22 @@ def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key: {key!r}")
+            raise DuplicateKey(key)
         obj[key] = value
     return obj
 
 
-def load_rule_config(path: str) -> RuleConfig:
-    """Load a RuleConfig from a UTF-8 JSON file; a key given twice is a ConfigError."""
+def load_json_file(path: str, error: type[ConfigError] = ConfigError) -> object:
+    """The JSON value in a UTF-8 file; error, naming the file, if it has none or repeats a key."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, object_pairs_hook=reject_duplicate_keys)
+            return json.load(fh, object_pairs_hook=reject_duplicate_keys)
+        except DuplicateKey as exc:
+            raise error(f"duplicate key {exc.args[0]!r} in {path}") from exc
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return rule_config_from_obj(obj)
+            raise error(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_rule_config(path: str) -> RuleConfig:
+    """Load a RuleConfig from a UTF-8 JSON file; a key given twice is a ConfigError."""
+    return rule_config_from_obj(load_json_file(path))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .model import CommentRecord, ConfigError, record_to_json, reject_duplicate_keys
+from .model import CommentRecord, ConfigError, load_json_file, record_to_json
 
 
 class InvalidSpec(ConfigError):
@@ -323,11 +323,7 @@ def persona_spec_from_obj(obj: dict) -> PersonaSpec:
 
 def load_persona_specs(path: str) -> list[PersonaSpec]:
     """Load a JSON array of persona specs from a UTF-8 file; a key given twice is InvalidSpec."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=reject_duplicate_keys)
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise InvalidSpec(f"invalid JSON in {path}: {exc}") from exc
+    data = load_json_file(path, InvalidSpec)
     if not isinstance(data, list):
         raise InvalidSpec("persona spec file must be a JSON array")
     return [persona_spec_from_obj(item) for item in data]

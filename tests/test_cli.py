@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 import threading
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -134,7 +136,7 @@ class TestScore:
                      "--output", str(tmp_path / "verdicts.jsonl")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"spamminer: config error: invalid JSON in {cfg_path}: duplicate key: 'pchf_gt'\n")
+            f"spamminer: config error: duplicate key 'pchf_gt' in {cfg_path}\n")
 
     def test_pure_garbage_input(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -185,6 +187,16 @@ class TestScore:
                      "--output", str(tmp_path / "verdicts.jsonl")])
         assert code == EXIT_CONFIG
         assert f"config error: invalid JSON in {cfg_path}" in capsys.readouterr().err
+
+    def test_jsonl_byte_order_mark_dropped(self, tmp_path, capsys):
+        corpus = tmp_path / "bom.jsonl"
+        corpus.write_text("\ufeff" + "".join(
+            record_to_json(make_record(user="u1", ts=i, cid=f"c{i}")) + "\n" for i in (1, 2)),
+            encoding="utf-8")
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["score", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        assert "rejected" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["features"]["n_comments"] == 2
 
     def test_missing_input_file(self, tmp_path):
         code = main(["score", "--input", str(tmp_path / "absent.jsonl"),
@@ -317,6 +329,33 @@ class TestFetch:
         err = capsys.readouterr().err
         assert f"{feed_dir / 'alice.jsonl'}:2: rejected line (ParseError)" in err
         assert "fetched 2/2 users" in err
+
+    def test_directory_file_byte_order_mark_dropped(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        (feed_dir / "alice.jsonl").write_text(
+            "\ufeff" + record_to_json(make_record(user="alice", ts=1, cid="c1")) + "\n",
+            encoding="utf-8")
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == f"spamminer: fetched 1/1 users into {cache_dir}\n"
+        assert len(ingest.cache_get(cache_dir, "alice")) == 1
+
+    def test_users_file_byte_order_mark_dropped(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        ingest.cache_put(feed_dir, ingest.group_by_user([make_record(user="alice", ts=1)])[0])
+        users = tmp_path / "users.txt"
+        users.write_text("\ufeffalice\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == f"spamminer: fetched 1/1 users into {cache_dir}\n"
+        assert [p.name for p in cache_dir.iterdir()] == ["alice.jsonl"]
 
     def test_non_utf8_users_file_is_usage_error(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
@@ -616,6 +655,41 @@ class TestInputOrder:
             assert read_at_vector[user] < limit
         assert lines_read == total_lines
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_restart_at_first_repeat(self, tmp_path, monkeypatch, fmt):
+        # Shuffled input is read up to its first repeated user_id, then once whole:
+        # reading the first pass to its end would read the file twice.
+        transform, _ = ORDER_CASES["shuffled"]
+        records = transform(_contiguous_records())
+        corpus = tmp_path / f"corpus.{fmt}"
+        corpus.write_bytes(_render(records, fmt))
+        header = fmt == "csv"
+        first_repeat_line = 1 + header
+        seen: set[str] = set()
+        for user_id, run in groupby(records, key=attrgetter("user_id")):
+            if user_id in seen:
+                break
+            seen.add(user_id)
+            first_repeat_line += len(list(run))
+        total_lines = len(records) + header
+
+        lines_read = 0
+        iter_records = getattr(ingest, f"iter_{fmt}")
+
+        def counting_iter(stream, report):
+            def lines():
+                nonlocal lines_read
+                for line in stream:
+                    lines_read += 1
+                    yield line
+            return iter_records(lines(), report)
+
+        monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
+        assert main(["score", "--input", str(corpus), "--format", fmt,
+                     "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
+        assert first_repeat_line < total_lines // 2
+        assert lines_read == first_repeat_line + total_lines
+
     @pytest.mark.parametrize("case", ["contiguous", "shuffled"])
     def test_one_verdict_at_a_time(self, tmp_path, monkeypatch, case):
         # Each user's verdict is encoded before the next user is classified.
@@ -673,7 +747,7 @@ class TestSynth:
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"spamminer: config error: invalid JSON in {spec}: duplicate key: 'count'\n")
+            f"spamminer: config error: duplicate key 'count' in {spec}\n")
 
     def test_non_utf8_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"

@@ -16,7 +16,6 @@ from spamminer.ingest import (
     IngestReport,
     MalformedPage,
     MissingHeader,
-    NotGrouped,
     UserNotFound,
     _decode_page,
     cache_get,
@@ -26,7 +25,6 @@ from spamminer.ingest import (
     iter_jsonl,
     parse_csv,
     parse_jsonl,
-    user_runs,
 )
 from spamminer.model import build_log, record_to_json
 
@@ -151,6 +149,26 @@ class TestParseJsonl:
         records, report = parse_jsonl(io.StringIO(VALID_LINE + "\n" + line + "\n"))
         assert len(records) == 1
         assert report.rejects == [(2, "LoneSurrogate")]
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_byte_order_mark_dropped(self, as_text):
+        # Some editors begin a UTF-8 file with U+FEFF.
+        data = "\ufeff" + VALID_LINE + "\n" + VALID_LINE + "\n"
+        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
+        records, report = parse_jsonl(stream)
+        assert len(records) == 2
+        assert report.rejects == []
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    @pytest.mark.parametrize("data, line_no", [
+        ("\ufeff\ufeff" + VALID_LINE + "\n" + VALID_LINE + "\n", 1),
+        (VALID_LINE + "\n\ufeff" + VALID_LINE + "\n", 2),
+    ])
+    def test_other_byte_order_marks_rejected(self, as_text, data, line_no):
+        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
+        records, report = parse_jsonl(stream)
+        assert len(records) == 1
+        assert report.rejects == [(line_no, "ParseError")]
 
     def test_escaped_surrogate_pair_accepted(self):
         records, _ = parse_jsonl(_jsonl([_with_text("\\ud83d\\ude00 \\u00e9")]))
@@ -425,38 +443,6 @@ class TestIterRecords:
         assert len(list(records)) == 1
         assert lines_read == [1, 2, 3]
         assert (report.accepted, report.rejects) == (2, [(2, "ParseError")])
-
-
-class TestUserRuns:
-    def test_one_run_per_user_in_input_order(self):
-        records = (
-            [make_record(user="u2", ts=t) for t in (5, 6)]
-            + [make_record(user="u1", ts=t) for t in (3, 1, 2)]
-        )
-        runs = list(user_runs(records))
-        assert runs == [("u2", records[:2]), ("u1", records[2:])]
-
-    def test_empty(self):
-        assert list(user_runs([])) == []
-
-    def test_run_yielded_when_next_user_starts(self):
-        pulled = []
-
-        def records():
-            for user in ("a", "a", "b", "c"):
-                pulled.append(user)
-                yield make_record(user=user)
-
-        runs = user_runs(records())
-        assert next(runs)[0] == "a"
-        assert pulled == ["a", "a", "b"]
-
-    def test_reappearing_user_raises(self):
-        records = [make_record(user=u) for u in ("a", "b", "b", "a")]
-        runs = user_runs(records)
-        assert [next(runs)[0], next(runs)[0]] == ["a", "b"]
-        with pytest.raises(NotGrouped, match="'a'"):
-            next(runs)
 
 
 class TestCache:
