@@ -124,6 +124,8 @@ def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
     user at a time, as each run ends; only the vectors are kept, keyed by
     user_id. At the first user_id that comes back, the file is read again and
     grouped whole. A pipe cannot be read twice, so it is grouped whole at once.
+    Only the grouped-whole read keeps its records, so only it shares their id
+    strings through a table.
     """
     records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
     fvs: dict[str, FeatureVector] = {}
@@ -141,7 +143,7 @@ def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
                 fvs[user_id] = features.feature_vector(build_log(user_id, list(run)),
                                                        args.normalization)
         if not grouped:
-            logs = ingest.group_by_user(records_of(fh, rep))
+            logs = ingest.group_by_user(records_of(fh, rep, {}))
             while logs:  # each log is freed once its vector is made
                 log = logs.pop()
                 fvs[log.user_id] = features.feature_vector(log, args.normalization)

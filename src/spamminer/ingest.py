@@ -39,6 +39,7 @@ from .model import (
     decode_record,
     parse_rfc3339,
     record_to_json,
+    shared_id,
 )
 
 
@@ -108,17 +109,21 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
 
     Malformed lines are recorded in the report and skipped; they never abort
     the stream. One byte order mark at the start of line 1 is dropped.
+    The records share one string per distinct user_id and video_id.
     Raises AllLinesRejected when the input had lines but none parsed.
     """
     report = IngestReport()
-    return list(iter_jsonl(stream, report)), report
+    return list(iter_jsonl(stream, report, {})), report
 
 
-def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+def iter_jsonl(
+    stream: IO | Iterable, report: IngestReport, ids: dict[str, str] | None = None
+) -> Iterator[CommentRecord]:
     """parse_jsonl, one record at a time: yield each record, tally every line in report.
 
-    Raises AllLinesRejected when the stream is exhausted with lines but no
-    record.
+    With ids, the records share their id strings through that table, as
+    decode_record does; a caller that keeps the records passes one. Raises
+    AllLinesRejected when the stream is exhausted with lines but no record.
     """
     lines = iter(stream)
     first = next(lines, None)
@@ -142,7 +147,7 @@ def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentR
                 raise ParseError("expecting a JSON value") from None
             if end != len(text):
                 raise ParseError(f"extra data after column {end}")
-            rec = decode_record(obj)
+            rec = decode_record(obj, ids)
             if maybe_surrogate:
                 check_no_surrogates(rec)
         except ValidationError as exc:
@@ -171,11 +176,13 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     refer to physical lines in the file, as with JSONL.
     """
     report = IngestReport()
-    return list(iter_csv(stream, report)), report
+    return list(iter_csv(stream, report, {})), report
 
 
-def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
-    """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl.
+def iter_csv(
+    stream: IO | Iterable, report: IngestReport, ids: dict[str, str] | None = None
+) -> Iterator[CommentRecord]:
+    """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl (ids too).
 
     MissingHeader is raised when the first record is asked for.
     """
@@ -224,7 +231,10 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
             if hint is None:
                 raise ParseError(f"bad has_spam_hint value: {row[hint_col]!r}")
             comment_id = row[comment_id_col].strip() if comment_id_col is not None else ""
-            rec = CommentRecord(row[user_col], row[video_col],
+            user_id, video_id = row[user_col], row[video_col]
+            if ids is not None:
+                user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
+            rec = CommentRecord(user_id, video_id,
                                 parse_rfc3339(row[published_col].strip()),
                                 row[text_col], hint, comment_id or None)
             # Decoded UTF-8 holds no surrogate; a text-mode line may, if it is not ASCII.
@@ -290,9 +300,9 @@ class FetchResult(NamedTuple):
 
 
 def _decode_page(
-    body: bytes, page_token: str | None
+    body: bytes, page_token: str | None, ids: dict[str, str] | None = None
 ) -> tuple[tuple[CommentRecord, ...], str | None]:
-    """(comments, next_page_token) of one feed page body."""
+    """(comments, next_page_token) of one feed page body; ids as for decode_record."""
     try:
         obj = json.loads(body)
     except (ValueError, RecursionError) as exc:  # not JSON, not Unicode, or nested too deep
@@ -304,7 +314,8 @@ def _decode_page(
         raise MalformedPage("next_page_token must be a string", page_token)
     try:
         # json.loads lets a UTF-8-encoded surrogate through, so every record is checked.
-        comments = tuple(check_no_surrogates(decode_record(item)) for item in obj["comments"])
+        comments = tuple(check_no_surrogates(decode_record(item, ids))
+                         for item in obj["comments"])
     except ValueError as exc:
         raise MalformedPage(f"bad record: {exc}", page_token) from exc
     return comments, token
@@ -316,6 +327,7 @@ def _get_page(
     page_token: str | None,
     backoff_s: tuple[float, ...],
     timeout_s: float,
+    ids: dict[str, str],
 ) -> tuple[tuple[CommentRecord, ...], str | None]:
     url = f"{base_url.rstrip('/')}/users/{quote(user_id, safe='')}/comments"
     if page_token is not None:
@@ -340,7 +352,7 @@ def _get_page(
             continue
         if response.status_code != 200:
             raise EndpointUnreachable(f"HTTP {response.status_code} from {url}")
-        return _decode_page(response.content, page_token)
+        return _decode_page(response.content, page_token, ids)
     raise EndpointUnreachable(f"giving up on {url}: {last_error}")
 
 
@@ -374,10 +386,12 @@ def fetch_user_log(
         return FetchResult(log=log, rejects=tuple(report.rejects))
 
     records: list[CommentRecord] = []
+    ids: dict[str, str] = {}  # one string per distinct id across the pages
     token: str | None = None
     truncated = False
     for page_no in range(page_limit):
-        comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s)
+        comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s,
+                                    ids)
         records.extend(comments)
         if token is None:
             break

@@ -20,7 +20,6 @@ import json
 import math
 import operator
 import re
-import sys
 import time
 from datetime import datetime
 from enum import Enum
@@ -70,9 +69,10 @@ class _CommentRecordFields(NamedTuple):
 class CommentRecord(_CommentRecordFields):
     """One comment event: who commented on what, when, and what they wrote.
 
-    user_id and video_id are trimmed on construction and must be non-empty;
-    they are interned, so all records of one user (or one video) share one
-    string object.
+    user_id and video_id are trimmed on construction and must be non-empty.
+    No process-wide table holds them: a parse that keeps its records shares
+    one string per distinct id through a table of its own (the ids argument
+    of decode_record, ingest.iter_jsonl and ingest.iter_csv), freed with it.
     timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
     comment_id is optional; when present it is expected to be unique within
     one user's log (build_log enforces this by deduplication).
@@ -92,8 +92,8 @@ class CommentRecord(_CommentRecordFields):
         has_spam_hint: bool = False,
         comment_id: str | None = None,
     ) -> CommentRecord:
-        user_id = sys.intern(user_id.strip())
-        video_id = sys.intern(video_id.strip())
+        user_id = user_id.strip()
+        video_id = video_id.strip()
         timestamp_s = int(timestamp_s)
         if not user_id:
             raise EmptyUserId("user_id is empty")
@@ -406,11 +406,19 @@ def record_to_json(rec: CommentRecord) -> str:
     )
 
 
-def decode_record(obj: dict) -> CommentRecord:
+def shared_id(ids: dict[str, str], value: str) -> str:
+    """value stripped, as the equal string already in ids; added to ids when new."""
+    value = value.strip()
+    return ids.setdefault(value, value)
+
+
+def decode_record(obj: dict, ids: dict[str, str] | None = None) -> CommentRecord:
     """Build a validated record from a canonical JSON object.
 
     A missing has_spam_hint defaults to False (absence of a tag is not
-    evidence of spam); a missing text defaults to the empty string.
+    evidence of spam); a missing text defaults to the empty string. With
+    ids, the record's user_id and video_id are the strings in that table
+    (see shared_id), so records decoded with one table share them.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"expected JSON object, got {type(obj).__name__}")
@@ -426,6 +434,8 @@ def decode_record(obj: dict) -> CommentRecord:
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise ValidationError("text must be a string")
+    if ids is not None:
+        user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
     return CommentRecord(user_id, video_id, parse_rfc3339(published_at), text, hint, comment_id)
 
 
@@ -519,7 +529,7 @@ def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_json_file(path: str, error: type[ConfigError] = ConfigError) -> object:
     """The JSON value in a UTF-8 file; error, naming the file, if it has none or repeats a key."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops one leading byte order mark
         try:
             return json.load(fh, object_pairs_hook=reject_duplicate_keys)
         except DuplicateKey as exc:

@@ -226,9 +226,10 @@ def _emit_promoter(rng, spec, uid, n, start):
     template = rng.choice(SPAM_TEMPLATES)
     k_lo, k_hi = spec.video_count or PROMOTER_VIDEOS
     k = rng.randint(k_lo, k_hi)
+    videos = [f"{uid}-v{j:02d}" for j in range(k)]  # one string per video, as a parse shares
     offsets = _offsets(rng, n, spec.gap_s or SLOW_GAP_S)
     return [
-        _record(uid, i, f"{uid}-v{i % k:02d}", start + off, template, False)
+        _record(uid, i, videos[i % k], start + off, template, False)
         for i, off in enumerate(offsets)
     ]
 

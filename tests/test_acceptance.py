@@ -237,11 +237,11 @@ def test_criterion_6_round_trip_and_robustness(tmp_path):
 
         # exit code 3 only on 100%-rejected input
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_text("\n".join(lines) + "\n")
+        mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert cli.main(["score", "--input", str(mixed),
                          "--output", str(tmp_path / "v1.jsonl")]) == cli.EXIT_OK
         garbage = tmp_path / "garbage.jsonl"
-        garbage.write_text("junk\nmore junk\n")
+        garbage.write_text("junk\nmore junk\n", encoding="utf-8")
         assert cli.main(["score", "--input", str(garbage),
                          "--output", str(tmp_path / "v2.jsonl")]) == cli.EXIT_REJECTED
 

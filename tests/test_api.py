@@ -48,6 +48,7 @@ def test_readme_library_example_matches_score(tmp_path, monkeypatch, capsys):
     exec(_library_snippet(), {})
 
     printed = capsys.readouterr().out.splitlines()
-    verdicts = [json.loads(line) for line in Path("verdicts.jsonl").read_text().splitlines()]
+    verdicts = [json.loads(line)
+                for line in Path("verdicts.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(printed) == 200
     assert printed == [f"{v['user_id']} {v['label']} {sorted(v['triggered'])}" for v in verdicts]

@@ -61,7 +61,7 @@ class TestScore:
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(corpus_path), "--output", str(out)])
         assert code == EXIT_OK
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 10  # one verdict per user
         verdicts = [json.loads(line) for line in lines]
         assert [v["user_id"] for v in verdicts] == sorted(v["user_id"] for v in verdicts)
@@ -85,7 +85,7 @@ class TestScore:
         records = [make_record(user="u1", ts=i, text=f"t{i}", hint=True, cid=f"c{i}")
                    for i in range(8)]
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(record_to_json(rec) + "\n" for rec in records))
+        corpus.write_text("".join(record_to_json(rec) + "\n" for rec in records), encoding="utf-8")
         code = main(["score", "--input", str(corpus), "--output",
                      str(tmp_path / "verdicts.jsonl"), "--explain"])
         assert code == EXIT_OK
@@ -104,17 +104,29 @@ class TestScore:
 
     def test_custom_config(self, corpus_path, tmp_path):
         cfg_path = tmp_path / "rule.json"
-        cfg_path.write_text(json.dumps({"min_comments": 1000}))
+        cfg_path.write_text(json.dumps({"min_comments": 1000}), encoding="utf-8")
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
                      "--output", str(out)])
         assert code == EXIT_OK
-        labels = {json.loads(line)["label"] for line in out.read_text().splitlines()}
+        labels = {json.loads(line)["label"]
+                  for line in out.read_text(encoding="utf-8").splitlines()}
+        assert labels == {"insufficient"}
+
+    def test_config_byte_order_mark_dropped(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_text("\ufeff" + json.dumps({"min_comments": 1000}), encoding="utf-8")
+        out = tmp_path / "verdicts.jsonl"
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        labels = {json.loads(line)["label"]
+                  for line in out.read_text(encoding="utf-8").splitlines()}
         assert labels == {"insufficient"}
 
     def test_unknown_config_key(self, corpus_path, tmp_path, capsys):
         cfg_path = tmp_path / "rule.json"
-        cfg_path.write_text(json.dumps({"min_commentz": 5}))
+        cfg_path.write_text(json.dumps({"min_commentz": 5}), encoding="utf-8")
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
                      "--output", str(out)])
@@ -131,7 +143,7 @@ class TestScore:
 
     def test_config_key_given_twice_is_config_error(self, corpus_path, tmp_path, capsys):
         cfg_path = tmp_path / "rule.json"
-        cfg_path.write_text('{"pchf_gt": 10, "pchf_gt": 90}')
+        cfg_path.write_text('{"pchf_gt": 10, "pchf_gt": 90}', encoding="utf-8")
         code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
                      "--output", str(tmp_path / "verdicts.jsonl")])
         assert code == EXIT_CONFIG
@@ -140,7 +152,7 @@ class TestScore:
 
     def test_pure_garbage_input(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\nstill not json\n")
+        bad.write_text("not json\nstill not json\n", encoding="utf-8")
         code = main(["score", "--input", str(bad), "--output", str(tmp_path / "o.jsonl")])
         assert code == EXIT_REJECTED
 
@@ -156,7 +168,8 @@ class TestScore:
 
     def test_partial_garbage_is_warning(self, corpus_path, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_text(corpus_path.read_text() + "garbage line\n")
+        mixed.write_text(corpus_path.read_text(encoding="utf-8") + "garbage line\n",
+                         encoding="utf-8")
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(mixed), "--output", str(out)])
         assert code == EXIT_OK
@@ -178,7 +191,7 @@ class TestScore:
         code = main(["score", "--input", str(mixed), "--output", str(out)])
         assert code == EXIT_OK
         assert f"{mixed}:2: rejected line (ParseError)" in capsys.readouterr().err
-        assert len(out.read_text().splitlines()) == 10
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
     def test_deeply_nested_config_is_config_error(self, corpus_path, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
@@ -196,7 +209,7 @@ class TestScore:
         out = tmp_path / "verdicts.jsonl"
         assert main(["score", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
         assert "rejected" not in capsys.readouterr().err
-        assert json.loads(out.read_text())["features"]["n_comments"] == 2
+        assert json.loads(out.read_text(encoding="utf-8"))["features"]["n_comments"] == 2
 
     def test_missing_input_file(self, tmp_path):
         code = main(["score", "--input", str(tmp_path / "absent.jsonl"),
@@ -209,18 +222,20 @@ class TestScore:
             "user_id,comment_id,video_id,published_at,text,has_spam_hint\n"
             + "".join(
                 f"u1,c{i},v1,2021-01-01T00:0{i}:00Z,hello,false\n" for i in range(8)
-            )
+            ),
+            encoding="utf-8",
         )
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(csv_path), "--format", "csv",
                      "--output", str(out)])
         assert code == EXIT_OK
-        assert json.loads(out.read_text().splitlines()[0])["features"]["n_comments"] == 8
+        first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+        assert first["features"]["n_comments"] == 8
 
     def test_csv_column_named_twice_is_rejected_input(self, tmp_path, capsys):
         csv_path = tmp_path / "corpus.csv"
         csv_path.write_text(CSV_HEADER.rstrip("\n") + ",user_id\n"
-                            "u1,c1,v1,2021-01-01T00:00:00Z,hi,false,u2\n")
+                            "u1,c1,v1,2021-01-01T00:00:00Z,hi,false,u2\n", encoding="utf-8")
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(csv_path), "--format", "csv",
                      "--output", str(out)])
@@ -288,7 +303,7 @@ class TestFetch:
             records = [make_record(user=uid, ts=i, cid=f"{uid}-{i}") for i in range(3)]
             ingest.cache_put(feed_dir, ingest.group_by_user(records)[0])
         users = tmp_path / "users.txt"
-        users.write_text("alice\nbob\nmissing\n")
+        users.write_text("alice\nbob\nmissing\n", encoding="utf-8")
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
         assert code == EXIT_OK  # partial failure tolerated
@@ -299,9 +314,9 @@ class TestFetch:
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
         good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
-        (feed_dir / "alice.jsonl").write_text(good + "\n{bad\n")
+        (feed_dir / "alice.jsonl").write_text(good + "\n{bad\n", encoding="utf-8")
         users = tmp_path / "users.txt"
-        users.write_text("alice\n")
+        users.write_text("alice\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
@@ -315,11 +330,11 @@ class TestFetch:
         feed_dir.mkdir()
         good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
         late = good.replace(format_rfc3339(1), "9999-12-31T23:59:59-00:01")
-        (feed_dir / "alice.jsonl").write_text(good + "\n" + late + "\n")
+        (feed_dir / "alice.jsonl").write_text(good + "\n" + late + "\n", encoding="utf-8")
         (feed_dir / "bob.jsonl").write_text(
-            record_to_json(make_record(user="bob", ts=1, cid="b1")) + "\n")
+            record_to_json(make_record(user="bob", ts=1, cid="b1")) + "\n", encoding="utf-8")
         users = tmp_path / "users.txt"
-        users.write_text("alice\nbob\n")
+        users.write_text("alice\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
@@ -337,7 +352,7 @@ class TestFetch:
             "\ufeff" + record_to_json(make_record(user="alice", ts=1, cid="c1")) + "\n",
             encoding="utf-8")
         users = tmp_path / "users.txt"
-        users.write_text("alice\n")
+        users.write_text("alice\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
@@ -373,7 +388,7 @@ class TestFetch:
             "bob": MockUser(pages=[[]], raw_pages={0: b'{"comments": [], "x": "\xff"}'}),
         })
         users = tmp_path / "users.txt"
-        users.write_text("alice\nbob\n")
+        users.write_text("alice\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         with FeedServer(feed) as server:
             code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
@@ -392,9 +407,9 @@ class TestFetch:
                    "carol": [make_record(user="carol", ts=1, cid="c1")]}
         for uid, recs in records.items():
             (feed_dir / f"{uid}.jsonl").write_text(
-                "".join(record_to_json(rec) + "\n" for rec in recs))
+                "".join(record_to_json(rec) + "\n" for rec in recs), encoding="utf-8")
         users = tmp_path / "users.txt"
-        users.write_text("bob\ncarol\n")
+        users.write_text("bob\ncarol\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
@@ -404,7 +419,7 @@ class TestFetch:
         assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
         assert "fetched 1/2 users" in err
 
-        users.write_text("bob\n")
+        users.write_text("bob\n", encoding="utf-8")
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(tmp_path / "cache2")])
         assert code == EXIT_IO
@@ -416,7 +431,7 @@ class TestFetch:
             "carol": MockUser(pages=[feed_page_records("carol", 0, 3)]),
         })
         users = tmp_path / "users.txt"
-        users.write_text("bob\ncarol\n")
+        users.write_text("bob\ncarol\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         with FeedServer(feed) as server:
             code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
@@ -433,9 +448,9 @@ class TestFetch:
         good = record_to_json(make_record(user="alice", ts=1, cid="c1"))
         lone = record_to_json(make_record(user="alice", ts=2, cid="c2", text="hi")).replace(
             '"text": "hi"', '"text": "\\ud800"')
-        (feed_dir / "alice.jsonl").write_text(good + "\n" + lone + "\n")
+        (feed_dir / "alice.jsonl").write_text(good + "\n" + lone + "\n", encoding="utf-8")
         users = tmp_path / "users.txt"
-        users.write_text("alice\n")
+        users.write_text("alice\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(cache_dir)])
@@ -452,7 +467,7 @@ class TestFetch:
             "carol": MockUser(pages=[feed_page_records("carol", 0, 3)]),
         })
         users = tmp_path / "users.txt"
-        users.write_text("bob\ncarol\n")
+        users.write_text("bob\ncarol\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         with FeedServer(feed) as server:
             code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
@@ -468,7 +483,7 @@ class TestFetch:
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
         users = tmp_path / "users.txt"
-        users.write_text("alice\n")
+        users.write_text("alice\n", encoding="utf-8")
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(tmp_path / "cache"), "--page-limit", limit])
         assert code == EXIT_USAGE
@@ -478,7 +493,7 @@ class TestFetch:
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
         users = tmp_path / "users.txt"
-        users.write_text("ghost\n")
+        users.write_text("ghost\n", encoding="utf-8")
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(tmp_path / "cache")])
         assert code == EXIT_IO
@@ -629,13 +644,13 @@ class TestInputOrder:
         lines_read = 0
         iter_records = getattr(ingest, f"iter_{fmt}")
 
-        def counting_iter(stream, report):
+        def counting_iter(stream, report, ids=None):
             def lines():
                 nonlocal lines_read
                 for line in stream:
                     lines_read += 1
                     yield line
-            return iter_records(lines(), report)
+            return iter_records(lines(), report, ids)
 
         read_at_vector: dict[str, int] = {}
         feature_vector = features.feature_vector
@@ -676,19 +691,48 @@ class TestInputOrder:
         lines_read = 0
         iter_records = getattr(ingest, f"iter_{fmt}")
 
-        def counting_iter(stream, report):
+        def counting_iter(stream, report, ids=None):
             def lines():
                 nonlocal lines_read
                 for line in stream:
                     lines_read += 1
                     yield line
-            return iter_records(lines(), report)
+            return iter_records(lines(), report, ids)
 
         monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
         assert first_repeat_line < total_lines // 2
         assert lines_read == first_repeat_line + total_lines
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("case", ["late_repeat", "shuffled"])
+    def test_grouped_whole_logs_share_id_strings(self, tmp_path, monkeypatch, case, fmt):
+        # The grouped-whole read keeps every record: one string per user and per
+        # video, across users too (each video_id here is shared by several users).
+        transform, _ = ORDER_CASES[case]
+        records = transform([rec._replace(video_id=rec.video_id[-3:])
+                             for rec in _contiguous_records()])
+        corpus = tmp_path / f"corpus.{fmt}"
+        corpus.write_bytes(_render(records, fmt))
+        logs = []
+        group_by_user = ingest.group_by_user
+
+        def keeping_group_by_user(recs):
+            grouped = group_by_user(recs)
+            logs.extend(grouped)
+            return grouped
+
+        monkeypatch.setattr(ingest, "group_by_user", keeping_group_by_user)
+        assert main(["score", "--input", str(corpus), "--format", fmt,
+                     "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
+
+        kept = [rec for log in logs for rec in log.records]
+        assert len(kept) == len(records)
+        videos = {rec.video_id for rec in kept}
+        assert len(videos) < len({(rec.user_id, rec.video_id) for rec in kept})
+        assert len({id(rec.user_id) for rec in kept}) == len(logs)
+        assert len({id(rec.video_id) for rec in kept}) == len(videos)
 
     @pytest.mark.parametrize("case", ["contiguous", "shuffled"])
     def test_one_verdict_at_a_time(self, tmp_path, monkeypatch, case):
@@ -726,15 +770,24 @@ class TestSynth:
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "personas.json"
-        spec.write_text(json.dumps([{"kind": "bot", "count": 2}]))
+        spec.write_text(json.dumps([{"kind": "bot", "count": 2}]), encoding="utf-8")
         out = tmp_path / "c.jsonl"
         assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == EXIT_OK
-        truth = json.loads((tmp_path / "c.truth.json").read_text())
+        truth = json.loads((tmp_path / "c.truth.json").read_text(encoding="utf-8"))
+        assert sorted(truth) == ["bot-0000", "bot-0001"]
+
+    def test_spec_byte_order_mark_dropped(self, tmp_path, capsys):
+        spec = tmp_path / "personas.json"
+        spec.write_text("\ufeff" + json.dumps([{"kind": "bot", "count": 2}]), encoding="utf-8")
+        out = tmp_path / "c.jsonl"
+        code = main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        truth = json.loads((tmp_path / "c.truth.json").read_text(encoding="utf-8"))
         assert sorted(truth) == ["bot-0000", "bot-0001"]
 
     def test_invalid_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"
-        spec.write_text(json.dumps([{"kind": "bot", "count": -2}]))
+        spec.write_text(json.dumps([{"kind": "bot", "count": -2}]), encoding="utf-8")
         code = main(["synth", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
@@ -742,7 +795,7 @@ class TestSynth:
 
     def test_spec_key_given_twice_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"
-        spec.write_text('[{"kind": "bot", "count": 2, "count": 3}]')
+        spec.write_text('[{"kind": "bot", "count": 2, "count": 3}]', encoding="utf-8")
         code = main(["synth", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
@@ -806,7 +859,7 @@ class TestReport:
         outdir = tmp_path / "figs"
         assert main(["report", "--input", str(corpus_path), "--figures", "fig2",
                      "--outdir", str(outdir)]) == EXIT_OK
-        summary = json.loads((outdir / "summary.json").read_text())
+        summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
         assert summary["users"] == 10
         assert summary["labels"]["spammer"] == 5
 

@@ -475,7 +475,7 @@ class TestCache:
 
     def test_corrupt_entry_raises(self, tmp_path):
         cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
-        (tmp_path / "u1.jsonl").write_text("not json\n{\"user_id\": null}\n")
+        (tmp_path / "u1.jsonl").write_text("not json\n{\"user_id\": null}\n", encoding="utf-8")
         with pytest.raises(AllLinesRejected):
             cache_get(tmp_path, "u1")
 
@@ -493,7 +493,7 @@ class TestFetchFromDirectory:
             fetch_user_log(tmp_path, "nobody")
 
     def test_partial_rejects_reported(self, tmp_path):
-        (tmp_path / "u1.jsonl").write_text(VALID_LINE + "\n{bad\n")
+        (tmp_path / "u1.jsonl").write_text(VALID_LINE + "\n{bad\n", encoding="utf-8")
         result = fetch_user_log(tmp_path, "u1")
         assert len(result.log) == 1
         assert result.rejects == ((2, "ParseError"),)
@@ -533,6 +533,7 @@ class TestFetchHttp:
         with FeedServer(feed) as server:
             result = fetch_user_log(server.base_url, "u1", backoff_s=NO_BACKOFF)
         assert len(result.log) == 100
+        assert len({id(rec.user_id) for rec in result.log.records}) == 1  # shared across pages
         assert result.truncated is False
         assert feed.requests == [("u1", None), ("u1", "p1")]
 

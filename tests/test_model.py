@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -271,7 +272,7 @@ def _modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
     src = Path(__import__("spamminer").__file__).parents[1]
     code = f"import sys, spamminer.cli; print(*[m for m in {names!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, encoding="utf-8", check=True).stdout
     return out.split()
 
 
@@ -308,10 +309,26 @@ class TestRecordWireFormat:
     def test_decoded_records_share_id_strings(self, user_id):
         line = json.dumps({"user_id": user_id, "video_id": "video-9",
                            "published_at": "1970-01-01T00:00:00Z"})
-        first, second = decode_record(json.loads(line)), decode_record(json.loads(line))
+        ids: dict[str, str] = {}
+        first, second = decode_record(json.loads(line), ids), decode_record(json.loads(line), ids)
         assert first.user_id == "user-1"
         assert first.user_id is second.user_id
         assert first.video_id is second.video_id
+
+    def test_decode_without_a_table_keeps_no_ids(self):
+        # No process-wide table: once its records are dropped, decoding has kept
+        # nothing of their ids, though the strings themselves are still alive.
+        objs = [{"user_id": f"user-{i}", "video_id": f"video-{i}",
+                 "published_at": "2021-01-01T00:00:00Z"} for i in range(50_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for obj in objs:
+                decode_record(obj)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
     def test_decode_missing_field(self):
         with pytest.raises(ValueError):

@@ -159,9 +159,9 @@ class TestFiles:
         out, truth_path = write_corpus(corpus, tmp_path / "corpus.jsonl")
         assert out.name == "corpus.jsonl"
         assert truth_path.name == "corpus.truth.json"
-        truth = json.loads(truth_path.read_text())
+        truth = json.loads(truth_path.read_text(encoding="utf-8"))
         assert truth == {"bot-0000": "spammer", "bot-0001": "spammer"}
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(corpus.records)
 
     def test_load_persona_specs(self, tmp_path):
@@ -169,13 +169,13 @@ class TestFiles:
         spec_path.write_text(json.dumps([
             {"kind": "legit", "count": 4, "comments_per_user": [6, 10]},
             {"kind": "repeater", "count": 2, "duplicate_fraction": 0.9},
-        ]))
+        ]), encoding="utf-8")
         specs = load_persona_specs(str(spec_path))
         assert specs[0] == PersonaSpec(PersonaKind.LEGIT, 4, comments_per_user=(6, 10))
         assert specs[1].duplicate_fraction == 0.9
 
     def test_load_rejects_non_array(self, tmp_path):
         spec_path = tmp_path / "personas.json"
-        spec_path.write_text('{"kind": "bot"}')
+        spec_path.write_text('{"kind": "bot"}', encoding="utf-8")
         with pytest.raises(InvalidSpec):
             load_persona_specs(str(spec_path))
