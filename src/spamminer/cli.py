@@ -13,6 +13,7 @@ stderr, so stdout stays pipeline-safe. Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from itertools import groupby
 from operator import attrgetter
@@ -189,7 +190,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         text = Path(args.users).read_text(encoding="utf-8-sig")  # drops one leading BOM
     except UnicodeDecodeError as exc:
         raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None
-    users = [line.strip() for line in text.splitlines() if line.strip()]
+    # Only \n ends a line: read_text has turned \r\n and \r into it, and an id may hold U+2028.
+    users = [line.strip() for line in text.split("\n") if line.strip()]
     fetched = 0
     for user_id in users:
         try:
@@ -198,11 +200,20 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 ingest.AllLinesRejected, MixedUsers, OSError) as exc:
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
-        if result.rejects:
+        if result.rejects:  # user_file renders the name as a Path does: feed/u1.jsonl for ./feed/
             _warn_rejects(ingest.user_file(args.endpoint, user_id), result.rejects)
         if result.truncated:
             _warn(f"log for {user_id!r} truncated at {args.page_limit} pages")
-        ingest.cache_put(args.cache, result.log)
+        try:
+            ingest._write_user_file(args.cache, result.log)
+        except OSError as exc:
+            # Only the rename into the user's file sets filename2: a name too long there is
+            # this user's, not the cache directory's. The warning leaves out the temp file.
+            if exc.errno != errno.ENAMETOOLONG or exc.filename2 is None:
+                raise
+            named = OSError(exc.errno, exc.strerror, exc.filename2)
+            _warn(f"fetch failed for {user_id!r}: {named}")
+            continue
         fetched += 1
     _warn(f"fetched {fetched}/{len(users)} users into {args.cache}")
     if users and not fetched:

@@ -19,8 +19,10 @@ one JSONL file per user instead, in the cache layout (see user_file).
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
+import stat
 import tempfile
 import time
 from collections import defaultdict
@@ -402,22 +404,38 @@ def fetch_user_log(
 
 # --- on-disk cache ---------------------------------------------------------
 
+def _user_path(directory: str | os.PathLike, user_id: str) -> str:
+    # A str, not a Path: pathlib passes every name it parses through sys.intern.
+    return os.path.join(directory, quote(user_id, safe="") + ".jsonl")
+
+
 def user_file(directory: str | os.PathLike, user_id: str) -> Path:
-    """{directory}/{percent-encoded user_id}.jsonl: always a direct child of directory."""
-    return Path(directory) / (quote(user_id, safe="") + ".jsonl")
+    """{directory}/{percent-encoded user_id}.jsonl, always a direct child of directory.
+
+    Returns a Path, for library callers.
+    """
+    return Path(_user_path(directory, user_id))
 
 
 def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
     """Store a log as one JSONL file per user, atomically (temp file + rename).
 
     Concurrent writers for distinct users touch distinct files; a repeat put
-    for the same user replaces the previous file in one rename.
+    for the same user replaces the previous file in one rename. Returns the
+    file's Path, for library callers.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = user_file(directory, log.user_id)
+    return Path(_write_user_file(directory, log))
+
+
+def _write_user_file(directory: str | os.PathLike, log: UserActivityLog) -> str:
+    """cache_put, returning the file's name as a string."""
+    target = _user_path(directory, log.user_id)
     payload = "".join(record_to_json(rec) + "\n" for rec in log.records).encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+    except FileNotFoundError:  # the first put into a directory not made yet
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
     try:
         with open(fd, "wb") as fh:
             fh.write(payload)
@@ -445,8 +463,15 @@ def _read_user_file(
     directory: str | os.PathLike, user_id: str
 ) -> tuple[UserActivityLog, IngestReport] | None:
     """cache_get, plus the IngestReport of the file's lines."""
-    path = user_file(directory, user_id)
-    if not path.is_file():
+    path = _user_path(directory, user_id)
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a directory, or a FIFO that open blocks on
+            return None
+    except OSError as exc:  # what Path.is_file reads as no file; EACCES and the like are raised
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            raise
+        return None
+    except ValueError:  # a NUL in the directory's name
         return None
     with open(path, "rb") as fh:
         records, report = parse_jsonl(fh)

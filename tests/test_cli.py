@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from spamminer.cli import (
     EXIT_USAGE,
     main,
 )
-from spamminer.model import format_rfc3339, record_to_json, verdict_to_json
+from spamminer.model import build_log, format_rfc3339, record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
 from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_record
@@ -254,6 +255,18 @@ for argv in (["synth", "--seed", "2011", "--out", "corpus.jsonl"],
              ["report", "--input", "corpus.jsonl", "--svg", "--outdir", "figs"]):
     if main(argv):
         sys.exit(1)
+"""
+
+# A warm-up fetch, then the bytes that a fetch of the users in users.txt leaves allocated.
+_FETCH_KEPT = """
+import gc, tracemalloc
+from spamminer.cli import main
+assert main(["fetch", "--endpoint", "feed", "--users", "warm-up.txt", "--cache", "cache-0"]) == 0
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+assert main(["fetch", "--endpoint", "feed", "--users", "users.txt", "--cache", "cache"]) == 0
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] - before)
 """
 
 
@@ -497,6 +510,125 @@ class TestFetch:
         code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
                      "--cache", str(tmp_path / "cache")])
         assert code == EXIT_IO
+
+    def test_users_file_split_only_at_newline(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        ingest.cache_put(feed_dir, build_log("a\u2028b", [make_record(user="a\u2028b", ts=1)]))
+        assert [p.name for p in feed_dir.iterdir()] == ["a%E2%80%A8b.jsonl"]
+        users = tmp_path / "users.txt"
+        users.write_text("a\u2028b\r\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == f"spamminer: fetched 1/1 users into {cache_dir}\n"
+        assert [p.name for p in cache_dir.iterdir()] == ["a%E2%80%A8b.jsonl"]
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "symlink_loop"])
+    def test_directory_entry_not_a_file(self, tmp_path, capsys, kind):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        entry = feed_dir / "u1.jsonl"
+        if kind == "directory":
+            entry.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(entry)
+        else:
+            entry.symlink_to("u1.jsonl")
+        users = tmp_path / "users.txt"
+        users.write_text("u1\n", encoding="utf-8")
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(tmp_path / "cache")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"spamminer: fetch failed for 'u1': no log file for user 'u1' in {feed_dir}\n"
+            f"spamminer: fetched 0/1 users into {tmp_path / 'cache'}\n")
+
+    def test_directory_file_name_too_long(self, tmp_path, capsys):
+        feed_dir = tmp_path / "feed"
+        for uid in ("alice", "bob"):
+            ingest.cache_put(feed_dir, build_log(uid, [make_record(user=uid, ts=1)]))
+        long_id = "\u00e9" * 50  # 300 bytes once percent-encoded
+        users = tmp_path / "users.txt"
+        users.write_text(f"alice\n{long_id}\nbob\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            f"spamminer: fetch failed for {long_id!r}: [Errno {errno.ENAMETOOLONG}] "
+            f"{os.strerror(errno.ENAMETOOLONG)}: '{feed_dir}/{'%C3%A9' * 50}.jsonl'\n"
+            f"spamminer: fetched 2/3 users into {cache_dir}\n")
+
+    def test_rejected_line_names_file_as_path_does(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "feed").mkdir()
+        good = record_to_json(make_record(user="u1", ts=1, cid="c1"))
+        (tmp_path / "feed" / "u1.jsonl").write_text(good + "\n{bad\n", encoding="utf-8")
+        (tmp_path / "users.txt").write_text("u1\n", encoding="utf-8")
+        code = main(["fetch", "--endpoint", "./feed/", "--users", "users.txt",
+                     "--cache", "cache"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ("spamminer: feed/u1.jsonl:2: rejected line (ParseError)\n"
+                                           "spamminer: fetched 1/1 users into cache\n")
+
+    @staticmethod
+    def _stub_fetch(monkeypatch):
+        def fetch_user_log(endpoint, user_id, page_limit):
+            return ingest.FetchResult(build_log(user_id, [make_record(user=user_id, ts=1)]))
+
+        monkeypatch.setattr(ingest, "fetch_user_log", fetch_user_log)
+
+    def test_cache_file_name_too_long_skips_user(self, tmp_path, capsys, monkeypatch):
+        self._stub_fetch(monkeypatch)
+        long_id = "\u00e9" * 50
+        users = tmp_path / "users.txt"
+        users.write_text(f"alice\n{long_id}\nbob\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            f"spamminer: fetch failed for {long_id!r}: [Errno {errno.ENAMETOOLONG}] "
+            f"{os.strerror(errno.ENAMETOOLONG)}: '{cache_dir}/{'%C3%A9' * 50}.jsonl'\n"
+            f"spamminer: fetched 2/3 users into {cache_dir}\n")
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["alice.jsonl", "bob.jsonl"]
+
+    def test_other_cache_write_error_aborts(self, tmp_path, capsys, monkeypatch):
+        self._stub_fetch(monkeypatch)
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        users = tmp_path / "users.txt"
+        users.write_text("alice\nbob\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"spamminer: io error: [Errno {errno.ENOSPC}] ")
+        assert "fetched" not in err
+        assert list(cache_dir.iterdir()) == []  # the temp file is removed
+
+    def test_fetch_keeps_no_name_per_user(self, tmp_path):
+        # A fresh process: how much a name table keeps depends on what was interned before.
+        os.mkdir(os.path.join(tmp_path, "feed"))
+        user_ids = [f"user-{i:035d}" for i in range(2_001)]  # 40 characters each
+        for user_id in user_ids:
+            with open(os.path.join(tmp_path, "feed", user_id + ".jsonl"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(record_to_json(make_record(user=user_id, ts=1)) + "\n")
+        with open(os.path.join(tmp_path, "warm-up.txt"), "w", encoding="utf-8") as fh:
+            fh.write(user_ids[0] + "\n")
+        with open(os.path.join(tmp_path, "users.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(user_ids[1:]) + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.run([sys.executable, "-B", "-c", _FETCH_KEPT], cwd=tmp_path,
+                               env={"PYTHONPATH": src}, capture_output=True, check=True)
+        assert child.stderr.endswith(b"fetched 2000/2000 users into cache\n")
+        assert int(child.stdout) < 64 * 1024
 
 
 GARBAGE = object()  # stands for a line that does not parse, in either format

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import random
 
 import pytest
@@ -497,6 +499,27 @@ class TestFetchFromDirectory:
         result = fetch_user_log(tmp_path, "u1")
         assert len(result.log) == 1
         assert result.rejects == ((2, "ParseError"),)
+
+    @pytest.mark.parametrize("error, raised", [
+        *((OSError(code, os.strerror(code)), UserNotFound)
+          for code in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)),
+        (ValueError("embedded null byte"), UserNotFound),
+        (OSError(errno.EACCES, os.strerror(errno.EACCES)), PermissionError),
+        (OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG)), OSError),
+    ])
+    def test_stat_errors_as_path_is_file_reads_them(self, tmp_path, monkeypatch, error, raised):
+        (tmp_path / "u1.jsonl").write_text(VALID_LINE + "\n", encoding="utf-8")
+        real_stat = os.stat
+
+        def stat(path, *args, **kwargs):
+            if os.fspath(path).endswith("u1.jsonl"):
+                raise error
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat)
+        with pytest.raises(raised) as excinfo:
+            fetch_user_log(tmp_path, "u1")
+        assert excinfo.type is raised
 
 
 class TestDecodePage:
