@@ -207,12 +207,11 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         try:
             ingest._write_user_file(args.cache, result.log)
         except OSError as exc:
-            # Only the rename into the user's file sets filename2: a name too long there is
-            # this user's, not the cache directory's. The warning leaves out the temp file.
-            if exc.errno != errno.ENAMETOOLONG or exc.filename2 is None:
+            # A name too long is this user's when the error names the user's file; when it
+            # names the cache directory, every user would fail the same way.
+            if exc.errno != errno.ENAMETOOLONG or exc.filename == args.cache:
                 raise
-            named = OSError(exc.errno, exc.strerror, exc.filename2)
-            _warn(f"fetch failed for {user_id!r}: {named}")
+            _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
         fetched += 1
     _warn(f"fetched {fetched}/{len(users)} users into {args.cache}")

@@ -37,7 +37,6 @@ from .model import (
     ValidationError,
     _Value,
     build_log,
-    check_no_surrogates,
     decode_record,
     parse_rfc3339,
     record_to_json,
@@ -135,12 +134,8 @@ def iter_jsonl(
     for line_no, line in enumerate(lines, start=1):
         try:
             if isinstance(line, bytes):
-                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
-                # Decoded UTF-8 holds no surrogate: only a \u escape can spell one.
-                maybe_surrogate = "\\u" in text
-            else:
-                text = line.strip(_JSON_WHITESPACE)
-                maybe_surrogate = "\\u" in text or not text.isascii()
+                line = line.decode("utf-8")
+            text = line.strip(_JSON_WHITESPACE)
             try:
                 obj, end = _scan_json(text, 0)
             except StopIteration:  # no JSON value: a blank line is skipped
@@ -150,8 +145,6 @@ def iter_jsonl(
             if end != len(text):
                 raise ParseError(f"extra data after column {end}")
             rec = decode_record(obj, ids)
-            if maybe_surrogate:
-                check_no_surrogates(rec)
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
         except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep, or a bad published_at
@@ -189,8 +182,7 @@ def iter_csv(
     MissingHeader is raised when the first record is asked for.
     """
     not_utf8: list[int] = []
-    non_ascii_text: list[int] = []
-    reader = csv.reader(_csv_lines(stream, not_utf8, non_ascii_text))
+    reader = csv.reader(_csv_lines(stream, not_utf8))
     try:
         header = next(reader)
     except StopIteration:
@@ -239,9 +231,6 @@ def iter_csv(
             rec = CommentRecord(user_id, video_id,
                                 parse_rfc3339(row[published_col].strip()),
                                 row[text_col], hint, comment_id or None)
-            # Decoded UTF-8 holds no surrogate; a text-mode line may, if it is not ASCII.
-            if non_ascii_text and non_ascii_text[-1] >= line_no:
-                check_no_surrogates(rec)
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
         except ValueError:  # a ParseError, or a bad published_at
@@ -253,15 +242,11 @@ def iter_csv(
         raise AllLinesRejected(report)
 
 
-def _csv_lines(
-    stream: IO | Iterable, not_utf8: list[int], non_ascii_text: list[int]
-) -> Iterator[str]:
+def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
     """Yield each physical line as text; append the number of each non-UTF-8 line to not_utf8.
 
     Such a line is yielded with replacement characters, so the CSV reader
-    keeps its place, and parse_csv rejects the row that spans it. The number
-    of each line that came as text, not bytes, and is not ASCII goes to
-    non_ascii_text: only such a line can hold a lone surrogate.
+    keeps its place, and parse_csv rejects the row that spans it.
     """
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
@@ -270,8 +255,6 @@ def _csv_lines(
             except UnicodeDecodeError:
                 not_utf8.append(line_no)
                 line = line.decode("utf-8", "replace")
-        elif not line.isascii():
-            non_ascii_text.append(line_no)
         yield line
 
 
@@ -315,9 +298,7 @@ def _decode_page(
     if token is not None and not isinstance(token, str):
         raise MalformedPage("next_page_token must be a string", page_token)
     try:
-        # json.loads lets a UTF-8-encoded surrogate through, so every record is checked.
-        comments = tuple(check_no_surrogates(decode_record(item, ids))
-                         for item in obj["comments"])
+        comments = tuple(decode_record(item, ids) for item in obj["comments"])
     except ValueError as exc:
         raise MalformedPage(f"bad record: {exc}", page_token) from exc
     return comments, token
@@ -428,23 +409,32 @@ def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
 
 
 def _write_user_file(directory: str | os.PathLike, log: UserActivityLog) -> str:
-    """cache_put, returning the file's name as a string."""
+    """cache_put, returning the file's name as a string.
+
+    An OSError names the user's file, or directory when no temp file could
+    be made there; never the temp file, whose name is random.
+    """
     target = _user_path(directory, log.user_id)
     payload = "".join(record_to_json(rec) + "\n" for rec in log.records).encode("utf-8")
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
-    except FileNotFoundError:  # the first put into a directory not made yet
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+        try:
+            fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+        except FileNotFoundError:  # the first put into a directory not made yet
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".jsonl")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, directory) from exc
     try:
         with open(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp_name, target)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, target) from exc
         raise
     return target
 

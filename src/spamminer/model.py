@@ -77,6 +77,10 @@ class CommentRecord(_CommentRecordFields):
     comment_id is optional; when present it is expected to be unique within
     one user's log (build_log enforces this by deduplication).
 
+    No string field may hold a lone UTF-16 surrogate (LoneSurrogate): JSON's
+    \\u escapes can spell one, but no UTF-8 text can carry it, so such a
+    record could never be written back.
+
     A tuple underneath: immutable, hashable, equal by value, and validated
     once, here, however it is built (_replace goes through _make).
     """
@@ -101,6 +105,16 @@ class CommentRecord(_CommentRecordFields):
             raise EmptyVideoId("video_id is empty")
         if timestamp_s < 0:
             raise NegativeTimestamp(f"timestamp_s is negative: {timestamp_s}")
+        # A string that holds a surrogate is never ASCII, and isascii() only reads a flag.
+        # Strict UTF-8 encoding fails on a surrogate and on nothing else.
+        if not (user_id.isascii() and video_id.isascii() and text.isascii()
+                and (comment_id is None or comment_id.isascii())):
+            for value in (user_id, video_id, text, comment_id or ""):
+                if not value.isascii():
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise LoneSurrogate(f"lone surrogate in {value!r}") from None
         return tuple.__new__(cls, (user_id, video_id, timestamp_s, text, has_spam_hint, comment_id))
 
     @classmethod
@@ -446,21 +460,6 @@ def _required_str(obj: dict, key: str) -> str:
     if value is None and key not in obj:
         raise ValidationError(f"missing field {key!r}")
     raise ValidationError(f"{key} must be a string")
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def check_no_surrogates(rec: CommentRecord) -> CommentRecord:
-    """rec itself; raises LoneSurrogate when a string field holds a surrogate code point.
-
-    JSON's \\u escapes can spell a lone UTF-16 surrogate, which no UTF-8
-    text can carry, so such a record could never be written back.
-    """
-    for value in (rec.user_id, rec.video_id, rec.text, rec.comment_id or ""):
-        if _SURROGATE.search(value):
-            raise LoneSurrogate(f"lone surrogate in {value!r}")
-    return rec
 
 
 def verdict_to_json(verdict: Verdict) -> str:

@@ -612,6 +612,36 @@ class TestFetch:
         assert "fetched" not in err
         assert list(cache_dir.iterdir()) == []  # the temp file is removed
 
+    def test_cache_write_error_names_the_cache_file(self, tmp_path, capsys, monkeypatch):
+        self._stub_fetch(monkeypatch)
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        users = tmp_path / "users.txt"
+        users.write_text("alice\nbob\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        for _ in range(2):  # the same stderr each time, with no random temp name in it
+            code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+                         "--cache", str(cache_dir)])
+            assert code == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"spamminer: io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                f"'{cache_dir}/alice.jsonl'\n")
+
+    def test_cache_directory_name_too_long_aborts(self, tmp_path, capsys, monkeypatch):
+        self._stub_fetch(monkeypatch)
+        users = tmp_path / "users.txt"
+        users.write_text("alice\nbob\n", encoding="utf-8")
+        cache_dir = tmp_path / ("c" * 300)
+        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"spamminer: io error: [Errno {errno.ENAMETOOLONG}] "
+            f"{os.strerror(errno.ENAMETOOLONG)}: '{cache_dir}'\n")
+
     def test_fetch_keeps_no_name_per_user(self, tmp_path):
         # A fresh process: how much a name table keeps depends on what was interned before.
         os.mkdir(os.path.join(tmp_path, "feed"))

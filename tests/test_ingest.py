@@ -202,19 +202,23 @@ class TestRoundTrip:
 CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint"
 
 
-# Lines of JSONL input: valid and invalid records, padded with JSON and
-# non-JSON whitespace or followed by extra data, and blank lines.
+# Lines of JSONL input: valid and invalid records (lone surrogates among
+# them, escaped or raw), bare or padded with JSON and non-JSON whitespace
+# or followed by extra data, and blank lines.
 jsonl_records = st.fixed_dictionaries(
     {"user_id": st.sampled_from(["u1", "u2", " ", ""]),
      "video_id": st.sampled_from(["v1", "v2"]),
      "published_at": st.sampled_from(["2021-01-01T00:00:00Z", "1970-01-01T00:00:00+01:00",
                                       "yesterday"])},
-    optional={"text": st.text(max_size=5), "comment_id": st.sampled_from(["c1", "c2", 7]),
+    optional={"text": st.one_of(st.text(max_size=5), st.sampled_from(["\ud800", "x\udfff"])),
+              "comment_id": st.sampled_from(["c1", "c2", 7]),
               "has_spam_hint": st.sampled_from([True, False, "yes"])},
 )
+jsonl_objects = st.builds(json.dumps, jsonl_records, ensure_ascii=st.booleans())
 jsonl_padding = st.text(" \t\r\x0c\x0b\u3000", max_size=3)
 jsonl_lines = st.one_of(
-    st.tuples(jsonl_padding, jsonl_records.map(json.dumps), jsonl_padding,
+    jsonl_objects,
+    st.tuples(jsonl_padding, jsonl_objects, jsonl_padding,
               st.sampled_from(["", "x", " 1 2", "{}"])).map("".join),
     jsonl_padding,
     st.sampled_from(["1 2", "[]", "null", "{", '"text"']),
@@ -228,7 +232,8 @@ class TestJsonlScanMatchesDecoder:
     def test_same_records_and_rejects(self, lines, as_bytes):
         stream = [line + "\n" for line in lines]
         if as_bytes:
-            stream = [line.encode("utf-8") for line in stream]
+            # A raw lone surrogate becomes bytes that are not UTF-8.
+            stream = [line.encode("utf-8", "surrogatepass") for line in stream]
         report = IngestReport()
         try:
             records = list(iter_jsonl(stream, report))
@@ -480,6 +485,25 @@ class TestCache:
         (tmp_path / "u1.jsonl").write_text("not json\n{\"user_id\": null}\n", encoding="utf-8")
         with pytest.raises(AllLinesRejected):
             cache_get(tmp_path, "u1")
+
+    def test_write_error_names_the_user_file(self, tmp_path, monkeypatch):
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError) as info:
+            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+        assert (info.value.errno, info.value.filename, info.value.filename2) == (
+            errno.ENOSPC, os.path.join(tmp_path, "u1.jsonl"), None)
+        assert ".tmp-" in info.value.__cause__.filename
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temp_file_error_names_the_directory(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("", encoding="utf-8")
+        with pytest.raises(NotADirectoryError) as info:
+            cache_put(not_a_dir, build_log("u1", [make_record(ts=1)]))
+        assert info.value.filename == not_a_dir
 
 
 class TestFetchFromDirectory:

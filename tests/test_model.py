@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from spamminer.model import (
     FeatureVector,
     Indicator,
     Label,
+    LoneSurrogate,
     MixedUsers,
     NegativeTimestamp,
     RuleConfig,
@@ -87,6 +89,34 @@ class TestValidateRecord:
     def test_replace_validates(self):
         with pytest.raises(EmptyVideoId):
             CommentRecord("u1", "v1", 100)._replace(video_id=" ")
+
+    @pytest.mark.parametrize("field", ["user_id", "video_id", "text", "comment_id"])
+    @pytest.mark.parametrize("build", ["direct", "_replace", "_make"])
+    @pytest.mark.parametrize("value", ["\ud800", "x\udfff y"])
+    def test_lone_surrogate_rejected(self, field, build, value):
+        fields = {"user_id": "u1", "video_id": "v1", "timestamp_s": 100, "text": "hi",
+                  "has_spam_hint": False, "comment_id": "c1"}  # in CommentRecord._fields order
+        bad = {**fields, field: value}
+        with pytest.raises(LoneSurrogate, match=re.escape(f"lone surrogate in {value!r}")):
+            if build == "direct":
+                CommentRecord(**bad)
+            elif build == "_replace":
+                CommentRecord(**fields)._replace(**{field: value})
+            else:
+                CommentRecord._make(bad.values())
+
+    @pytest.mark.parametrize("value", ["\u00e9", "\U0001F600", "\ud7ff\ue000"])
+    def test_non_ascii_accepted(self, value):
+        rec = CommentRecord(value, value, 0, value, comment_id=value)
+        assert tuple(rec) == (value, value, 0, value, False, value)
+
+    def test_first_fault_reported(self):
+        with pytest.raises(EmptyVideoId):
+            CommentRecord("u", " ", 0, "\ud800")
+        with pytest.raises(NegativeTimestamp):
+            CommentRecord("\ud800", "v", -1)
+        with pytest.raises(LoneSurrogate, match="'v\\\\ud800'"):
+            CommentRecord("u", "v\ud800", 0, "\udfff", comment_id="\ud800")
 
 
 class TestBuildLog:
