@@ -224,13 +224,12 @@ def iter_csv(
             hint = _FLAG_VALUES.get(row[hint_col].strip().lower())
             if hint is None:
                 raise ParseError(f"bad has_spam_hint value: {row[hint_col]!r}")
-            comment_id = row[comment_id_col].strip() if comment_id_col is not None else ""
             user_id, video_id = row[user_col], row[video_col]
             if ids is not None:
                 user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
             rec = CommentRecord(user_id, video_id,
-                                parse_rfc3339(row[published_col].strip()),
-                                row[text_col], hint, comment_id or None)
+                                parse_rfc3339(row[published_col].strip()), row[text_col], hint,
+                                None if comment_id_col is None else row[comment_id_col])
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
         except ValueError:  # a ParseError, or a bad published_at

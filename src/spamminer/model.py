@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import re
+import sys
 import time
 from datetime import datetime
 from enum import Enum
@@ -74,8 +75,9 @@ class CommentRecord(_CommentRecordFields):
     one string per distinct id through a table of its own (the ids argument
     of decode_record, ingest.iter_jsonl and ingest.iter_csv), freed with it.
     timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
-    comment_id is optional; when present it is expected to be unique within
-    one user's log (build_log enforces this by deduplication).
+    comment_id is optional: trimmed, absent (None) when blank, and expected to
+    be unique in one user's log (build_log enforces this by deduplication).
+    A field of the wrong type (a bool is no int) is a ValidationError naming it.
 
     No string field may hold a lone UTF-16 surrogate (LoneSurrogate): JSON's
     \\u escapes can spell one, but no UTF-8 text can carry it, so such a
@@ -96,9 +98,17 @@ class CommentRecord(_CommentRecordFields):
         has_spam_hint: bool = False,
         comment_id: str | None = None,
     ) -> CommentRecord:
+        if comment_id is not None and not isinstance(comment_id, str):
+            raise ValidationError("comment_id must be a string")
+        if not isinstance(has_spam_hint, bool):
+            raise ValidationError("has_spam_hint must be a boolean")
+        if not isinstance(text, str):
+            raise ValidationError("text must be a string")
+        if isinstance(timestamp_s, bool) or not isinstance(timestamp_s, int):
+            raise ValidationError("timestamp_s must be an integer")
         user_id = user_id.strip()
         video_id = video_id.strip()
-        timestamp_s = int(timestamp_s)
+        comment_id = (comment_id.strip() or None) if comment_id else None
         if not user_id:
             raise EmptyUserId("user_id is empty")
         if not video_id:
@@ -198,8 +208,8 @@ def build_log(user_id: str, records: list[CommentRecord]) -> UserActivityLog:
 
     Records are sorted ascending by timestamp, ties broken by comment_id then
     input order. Duplicate comment_id values are collapsed keeping the first
-    occurrence (in input order); records without a comment_id are never
-    deduplicated. Raises MixedUsers if any record belongs to another user.
+    occurrence (in input order); records without one, blank ones included,
+    are never deduplicated. Raises MixedUsers if any belongs to another user.
     """
     seen_ids: set[str] = set()
     deduped: list[CommentRecord] = []
@@ -304,29 +314,39 @@ CLAUSES = (
 )
 
 
+def _check_number(name: str, value, error: type[ConfigError] = ConfigError):
+    """value, if it is an int or a float (a bool is neither); else error naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number")
+    return value
+
+
 class RuleConfig(_Frozen):
     """Thresholds for the spammer rule (the OR of CLAUSES).
 
     The rule applies only to users with strictly more than min_comments
     comments; all four threshold comparisons are strict. Defaults are the
     empirically derived values; they are configuration, not constants.
+    min_comments is a positive int and each threshold a finite number, stored
+    as a float (a bool is neither); types are checked first, then ranges.
     """
 
     __slots__ = ("min_comments", "pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt")
 
     def __init__(self, min_comments: int = 5, pchf_gt: float = 70.0, atdc_lt_s: float = 150.0,
                  comovp_gt: float = 0.60, vidovp_gt: float = 0.60) -> None:
+        if isinstance(min_comments, bool) or not isinstance(min_comments, int):
+            raise ConfigError("min_comments must be an integer")
+        thresholds = (pchf_gt, atdc_lt_s, comovp_gt, vidovp_gt)  # CLAUSES order
+        for clause, value in zip(CLAUSES, thresholds):
+            _check_number(clause.threshold, value)
+        if min_comments < 1:
+            raise ConfigError(f"min_comments must be positive: {min_comments}")
         _set_field(self, "min_comments", min_comments)
-        _set_field(self, "pchf_gt", pchf_gt)
-        _set_field(self, "atdc_lt_s", atdc_lt_s)
-        _set_field(self, "comovp_gt", comovp_gt)
-        _set_field(self, "vidovp_gt", vidovp_gt)
-        if self.min_comments < 1:
-            raise ConfigError(f"min_comments must be positive: {self.min_comments}")
-        for clause in CLAUSES:
-            value = getattr(self, clause.threshold)
-            if not math.isfinite(value):
+        for clause, value in zip(CLAUSES, thresholds):
+            if not -sys.float_info.max <= value <= sys.float_info.max:  # or an int no float holds
                 raise ConfigError(f"{clause.threshold} must be finite: {value}")
+            _set_field(self, clause.threshold, float(value))
         if not 0.0 <= self.pchf_gt <= 100.0:
             raise ConfigError(f"pchf_gt out of range [0, 100]: {self.pchf_gt}")
         for name in ("comovp_gt", "vidovp_gt"):
@@ -429,28 +449,21 @@ def shared_id(ids: dict[str, str], value: str) -> str:
 def decode_record(obj: dict, ids: dict[str, str] | None = None) -> CommentRecord:
     """Build a validated record from a canonical JSON object.
 
-    A missing has_spam_hint defaults to False (absence of a tag is not
-    evidence of spam); a missing text defaults to the empty string. With
-    ids, the record's user_id and video_id are the strings in that table
-    (see shared_id), so records decoded with one table share them.
+    Only the wire format is checked here (string ids and an RFC3339
+    published_at, else ValueError); CommentRecord checks the rest. A missing
+    has_spam_hint is False (a missing tag is no evidence of spam) and a
+    missing text is empty. With ids, user_id and video_id are the strings in
+    that table (see shared_id), so records decoded with one table share them.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"expected JSON object, got {type(obj).__name__}")
     user_id = _required_str(obj, "user_id")
     video_id = _required_str(obj, "video_id")
     published_at = _required_str(obj, "published_at")
-    comment_id = obj.get("comment_id")
-    if comment_id is not None and not isinstance(comment_id, str):
-        raise ValidationError("comment_id must be a string")
-    hint = obj.get("has_spam_hint", False)
-    if not isinstance(hint, bool):
-        raise ValidationError("has_spam_hint must be a boolean")
-    text = obj.get("text", "")
-    if not isinstance(text, str):
-        raise ValidationError("text must be a string")
     if ids is not None:
         user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
-    return CommentRecord(user_id, video_id, parse_rfc3339(published_at), text, hint, comment_id)
+    return CommentRecord(user_id, video_id, parse_rfc3339(published_at), obj.get("text", ""),
+                         obj.get("has_spam_hint", False), obj.get("comment_id"))
 
 
 def _required_str(obj: dict, key: str) -> str:
@@ -484,7 +497,8 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
 
     Unknown keys are an error rather than ignored: a typo in a threshold
     name would otherwise silently fall back to the default. The optional
-    "combine" key names the only combination there is, "or", in any case.
+    "combine" key names the only combination there is, "or", in any case;
+    RuleConfig checks the other values.
     """
     if not isinstance(obj, dict):
         raise ConfigError("rule config must be a JSON object")
@@ -494,18 +508,7 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
     combine = obj.get("combine", "or")
     if not isinstance(combine, str) or combine.lower() != "or":
         raise ConfigError(f"unsupported combine mode: {combine!r}")
-    kwargs: dict = {}
-    if "min_comments" in obj:
-        if not isinstance(obj["min_comments"], int) or isinstance(obj["min_comments"], bool):
-            raise ConfigError("min_comments must be an integer")
-        kwargs["min_comments"] = obj["min_comments"]
-    for clause in CLAUSES:
-        if clause.threshold in obj:
-            value = obj[clause.threshold]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{clause.threshold} must be a number")
-            kwargs[clause.threshold] = float(value)
-    return RuleConfig(**kwargs)
+    return RuleConfig(**{key: value for key, value in obj.items() if key != "combine"})
 
 
 class DuplicateKey(ValueError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .model import CommentRecord, ConfigError, load_json_file, record_to_json
+from .model import CommentRecord, ConfigError, _check_number, load_json_file, record_to_json
 
 
 class InvalidSpec(ConfigError):
@@ -314,11 +314,8 @@ def persona_spec_from_obj(obj: dict) -> PersonaSpec:
                 raise InvalidSpec(f"{name} must be a two-integer range")
             kwargs[name] = (pair[0], pair[1])
     for name in ("duplicate_fraction", "hint_fraction"):
-        if name in obj:
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidSpec(f"{name} must be a number")
-            kwargs[name] = float(value)
+        if name in obj:  # the range first: float() of an int too large for one overflows
+            kwargs[name] = _check_fraction(name, _check_number(name, obj[name], InvalidSpec))
     return PersonaSpec(**kwargs)
 
 

@@ -151,6 +151,41 @@ class TestScore:
         assert capsys.readouterr().err == (
             f"spamminer: config error: duplicate key 'pchf_gt' in {cfg_path}\n")
 
+    def test_threshold_too_large_for_a_float_is_config_error(self, corpus_path, tmp_path,
+                                                              capsys):
+        huge = "9" * 401
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_text(f'{{"atdc_lt_s": {huge}}}', encoding="utf-8")
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "verdicts.jsonl")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"spamminer: config error: atdc_lt_s must be finite: {huge}\n")
+
+    @pytest.mark.parametrize("cid, n_comments", [
+        (lambda i: "", 10),  # a blank comment_id is absent: nothing is deduplicated
+        (lambda i: f" c{i // 2} " if i % 2 else f"c{i // 2}", 5),  # " c1 " is "c1"
+    ], ids=["blank", "padded"])
+    def test_comment_id_read_alike_from_jsonl_and_csv(self, tmp_path, cid, n_comments):
+        rows = [{"user_id": f"u{u}", "comment_id": cid(i), "video_id": f"v{i}",
+                 "published_at": format_rfc3339(1_600_000_000 + 60 * i), "text": "buy now",
+                 "has_spam_hint": False} for u in range(3) for i in range(10)]
+        jsonl, csv_path = tmp_path / "c.jsonl", tmp_path / "c.csv"
+        jsonl.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "has_spam_hint": "false"} for row in rows)
+        outputs = []
+        for path, fmt in ((jsonl, "jsonl"), (csv_path, "csv")):
+            out = tmp_path / f"{fmt}.verdicts.jsonl"
+            assert main(["score", "--input", str(path), "--format", fmt,
+                         "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        verdicts = [json.loads(line) for line in outputs[0].splitlines()]
+        assert [v["features"]["n_comments"] for v in verdicts] == [n_comments] * 3
+
     def test_pure_garbage_input(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\nstill not json\n", encoding="utf-8")
@@ -489,6 +524,22 @@ class TestFetch:
         assert sorted(p.name for p in cache_dir.iterdir()) == ["carol.jsonl"]
         err = capsys.readouterr().err
         assert "fetch failed for 'bob': initial page: bad record: lone surrogate" in err
+        assert "fetched 1/2 users" in err
+
+    def test_mistyped_field_on_feed_page(self, tmp_path, capsys):
+        mistyped = [{**feed_page_records("bob", 0, 1)[0], "text": 5}]
+        feed = MockFeed(users={
+            "bob": MockUser(pages=[mistyped]),
+            "carol": MockUser(pages=[feed_page_records("carol", 0, 3)]),
+        })
+        users = tmp_path / "users.txt"
+        users.write_text("bob\ncarol\n", encoding="utf-8")
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(tmp_path / "cache")])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': initial page: bad record: text must be a string\n" in err
         assert "fetched 1/2 users" in err
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -954,6 +1005,17 @@ class TestSynth:
                      "--out", str(tmp_path / "c.jsonl")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "spamminer: config error: count must be >= 0: -2\n"
+
+    def test_fraction_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        huge = "1" * 401
+        spec = tmp_path / "personas.json"
+        spec.write_text(f'[{{"kind": "legit", "count": 1, "hint_fraction": {huge}}}]',
+                        encoding="utf-8")
+        code = main(["synth", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "c.jsonl")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"spamminer: config error: hint_fraction must be in [0, 1]: {huge}\n")
 
     def test_spec_key_given_twice_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "personas.json"

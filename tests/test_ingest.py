@@ -340,10 +340,20 @@ class TestParseCsv:
         assert len(records) == 1
         assert report.rejects == [(2, "ParseError")]
 
-    def test_empty_comment_id_is_absent(self):
-        stream = _csv([CSV_HEADER, "u1,,v1,2021-01-01T00:00:00Z,x,false"])
-        records, _ = parse_csv(stream)
-        assert records[0].comment_id is None
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "feed page"])
+    def test_empty_comment_id_is_absent(self, fmt):
+        """A blank comment_id is absent, and a padded one trimmed, in every format."""
+        cids = ["", " \t", " c1 "]
+        if fmt == "csv":
+            records, _ = parse_csv(_csv(
+                [CSV_HEADER] + [f"u1,{cid},v1,2021-01-01T00:00:00Z,x,false" for cid in cids]))
+        else:
+            objs = [{**json.loads(VALID_LINE), "comment_id": cid} for cid in cids]
+            if fmt == "jsonl":
+                records, _ = parse_jsonl(_jsonl([json.dumps(obj) for obj in objs]))
+            else:
+                records, _ = _decode_page(json.dumps({"comments": objs}).encode("utf-8"), None)
+        assert [rec.comment_id for rec in records] == [None, None, "c1"]
 
     def test_header_only(self):
         records, report = parse_csv(_csv([CSV_HEADER]))

@@ -27,6 +27,7 @@ from spamminer.model import (
     NegativeTimestamp,
     RuleConfig,
     UserActivityLog,
+    ValidationError,
     Verdict,
     build_log,
     decode_record,
@@ -109,6 +110,36 @@ class TestValidateRecord:
     def test_non_ascii_accepted(self, value):
         rec = CommentRecord(value, value, 0, value, comment_id=value)
         assert tuple(rec) == (value, value, 0, value, False, value)
+
+    @pytest.mark.parametrize("args, message", [
+        (("u", "v", 0, 5), "text must be a string"),
+        (("u", "v", 0, "x", "yes"), "has_spam_hint must be a boolean"),
+        (("u", "v", 0, "x", False, 7), "comment_id must be a string"),
+        (("u", "v", "5"), "timestamp_s must be an integer"),
+        (("u", "v", 5.9), "timestamp_s must be an integer"),
+        (("u", "v", True), "timestamp_s must be an integer"),
+    ])
+    @pytest.mark.parametrize("build", ["direct", "_replace"])
+    def test_mistyped_field_rejected(self, args, message, build):
+        field = message.split()[0]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            if build == "direct":
+                CommentRecord(*args)
+            else:
+                value = args[CommentRecord._fields.index(field)]
+                CommentRecord("u", "v", 0)._replace(**{field: value})
+
+    def test_types_checked_first(self):
+        with pytest.raises(ValidationError, match="^text must be a string$"):
+            CommentRecord(" ", "v", -1, None)
+        with pytest.raises(ValidationError, match="^comment_id must be a string$"):
+            CommentRecord("u", "v", 0, 5, "yes", 7)
+
+    @pytest.mark.parametrize("cid, expected", [
+        (None, None), ("", None), (" \t", None), (" c1 ", "c1"), ("c1", "c1")])
+    def test_comment_id_trimmed_and_blank_is_absent(self, cid, expected):
+        assert CommentRecord("u", "v", 0, comment_id=cid).comment_id == expected
+        assert CommentRecord("u", "v", 0)._replace(comment_id=cid).comment_id == expected
 
     def test_first_fault_reported(self):
         with pytest.raises(EmptyVideoId):
@@ -374,9 +405,10 @@ class TestRecordWireFormat:
 
 # Strings a JSON encoder must escape or may pass through: quotes, backslashes,
 # control characters, U+2028/U+2029, DEL, and characters beyond ASCII and the BMP.
+# No lone surrogates: UTF-8 cannot carry one, and CommentRecord rejects it.
 wire_text = st.text(st.one_of(
     st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u2028\u2029é中😀 '),
-    st.characters(),
+    st.characters(codec="utf-8"),
 ))
 wire_id = wire_text.filter(str.strip)
 
@@ -471,6 +503,29 @@ class TestRuleConfig:
             RuleConfig(pchf_gt=-1)
         with pytest.raises(ConfigError):
             RuleConfig(min_comments=0)
+        with pytest.raises(ConfigError, match=f"^atdc_lt_s must be finite: -{'9' * 400}$"):
+            RuleConfig(atdc_lt_s=-int("9" * 400))  # exact: no float holds it
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"min_comments": True}, "min_comments must be an integer"),
+        ({"min_comments": 5.5}, "min_comments must be an integer"),
+        ({"pchf_gt": "70"}, "pchf_gt must be a number"),
+        ({"vidovp_gt": False}, "vidovp_gt must be a number"),
+        # Every type is checked before any range.
+        ({"min_comments": 0, "pchf_gt": 500, "comovp_gt": None}, "comovp_gt must be a number"),
+    ])
+    @pytest.mark.parametrize("build", [RuleConfig, lambda **kwargs: rule_config_from_obj(kwargs)],
+                             ids=["direct", "from_obj"])
+    def test_mistyped_field_rejected(self, kwargs, message, build):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build(**kwargs)
+
+    def test_thresholds_stored_as_floats(self):
+        cfg = RuleConfig(pchf_gt=70, atdc_lt_s=150, comovp_gt=0, vidovp_gt=1)
+        values = (cfg.pchf_gt, cfg.atdc_lt_s, cfg.comovp_gt, cfg.vidovp_gt)
+        assert [(type(v), v) for v in values] == [(float, 70.0), (float, 150.0),
+                                                   (float, 0.0), (float, 1.0)]
+        assert cfg == RuleConfig(pchf_gt=70.0, atdc_lt_s=150.0, comovp_gt=0.0, vidovp_gt=1.0)
 
     def test_bad_combine(self):
         with pytest.raises(ConfigError):
