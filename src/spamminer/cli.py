@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import errno
 import sys
+from array import array
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import classifier, features, ingest
 from .model import (
@@ -28,6 +29,7 @@ from .model import (
     Label,
     MixedUsers,
     RuleConfig,
+    UserActivityLog,
     build_log,
     load_rule_config,
     verdict_to_json,
@@ -118,40 +120,60 @@ def _load_config(path: str | None) -> RuleConfig:
     return load_rule_config(path) if path else RuleConfig()
 
 
-def _corpus_features(args: argparse.Namespace) -> list[FeatureVector]:
-    """Parse --input and compute each user's feature vector, sorted by user_id.
+def _corpus_features(args: argparse.Namespace) -> Iterator[FeatureVector]:
+    """Parse --input and compute each user's feature values; yield the vectors by user_id.
 
     A file that keeps each user's records in one contiguous run is scored one
-    user at a time, as each run ends; only the vectors are kept, keyed by
-    user_id. At the first user_id that comes back, the file is read again and
-    grouped whole. A pipe cannot be read twice, so it is grouped whole at once.
-    Only the grouped-whole read keeps its records, so only it shares their id
-    strings through a table.
+    user at a time, as each run ends. At the first user_id that comes back,
+    the file is read again and grouped whole. A pipe cannot be read twice, so
+    it is grouped whole at once. Only the grouped-whole read keeps its
+    records, so only it shares their id strings through a table.
+
+    Per user, only one row of six numbers is kept until the input ends: the
+    FeatureVector fields after user_id, in one array, with 0.0 for an absent
+    atdc_s. The input is parsed, and its rejects warned about or raised,
+    before this returns; each vector is then built as it is asked for.
     """
     records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
-    fvs: dict[str, FeatureVector] = {}
+    rows: dict[str, int] = {}  # user_id -> row number in table
+    table = array("d")
+
+    def add_row(log: UserActivityLog) -> None:
+        values = features._feature_values(log, args.normalization)
+        rows[log.user_id] = len(rows)
+        table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
+
     with open(args.input, "rb") as fh:
         rep = ingest.IngestReport()
         grouped = fh.seekable()
         if grouped:
             for user_id, run in groupby(records_of(fh, rep), key=attrgetter("user_id")):
-                if user_id in fvs:  # the first repeat: this user's vector is incomplete
-                    fvs.clear()
+                if user_id in rows:  # the first repeat: this user's row is incomplete
+                    rows.clear()
+                    del table[:]
                     fh.seek(0)
                     rep = ingest.IngestReport()
                     grouped = False
                     break
-                fvs[user_id] = features.feature_vector(build_log(user_id, list(run)),
-                                                       args.normalization)
+                add_row(build_log(user_id, list(run)))
         if not grouped:
             logs = ingest.group_by_user(records_of(fh, rep, {}))
-            while logs:  # each log is freed once its vector is made
-                log = logs.pop()
-                fvs[log.user_id] = features.feature_vector(log, args.normalization)
+            while logs:  # each log is freed once its row is made
+                add_row(logs.pop())
     _warn_rejects(args.input, rep.rejects)
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return [fvs[user_id] for user_id in sorted(fvs)]
+    return _vectors(rows, table)
+
+
+def _vectors(rows: dict[str, int], table: array) -> Iterator[FeatureVector]:
+    """One FeatureVector per row of _corpus_features' table, in user_id order."""
+    for user_id in sorted(rows):
+        start = 6 * rows[user_id]
+        n_comments, atdc_s, pchf_pct, crr, vidovp, crav = table[start:start + 6]
+        n_comments = int(n_comments)
+        yield FeatureVector(user_id, n_comments, atdc_s if n_comments >= 2 else None,
+                            pchf_pct, crr, vidovp, crav)
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
@@ -179,7 +201,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             if args.explain:
                 _warn(_explain(verdict, cfg))
             labels[verdict.label.value] += 1
-    _warn(f"scored {len(fvs)} users: {labels}")
+    _warn(f"scored {sum(labels.values())} users: {labels}")
     return EXIT_OK
 
 
@@ -242,7 +264,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")
     cfg = _load_config(args.config)
-    fvs = _corpus_features(args)
+    fvs = list(_corpus_features(args))
     for figure_id in figure_ids:
         ds = report.figure_dataset(fvs, figure_id, cfg)
         report.write_figure_csv(ds, args.outdir)

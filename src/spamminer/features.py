@@ -137,15 +137,13 @@ def crav(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
     return _pair_census(log, mode)[2]
 
 
+def _feature_values(
+    log: UserActivityLog, mode: str
+) -> tuple[int, float | None, float, float, float, float]:
+    """A FeatureVector's fields after user_id: n_comments, atdc_s, pchf_pct, crr, vidovp, crav."""
+    return (len(log.records), atdc(log), pchf(log), *_pair_census(log, mode))
+
+
 def feature_vector(log: UserActivityLog, mode: str = MODE_CANONICAL) -> FeatureVector:
     """Assemble all indicators plus the comment count for one user."""
-    pair_crr, pair_vidovp, pair_crav = _pair_census(log, mode)
-    return FeatureVector(
-        user_id=log.user_id,
-        n_comments=len(log.records),
-        atdc_s=atdc(log),
-        pchf_pct=pchf(log),
-        crr=pair_crr,
-        vidovp=pair_vidovp,
-        crav=pair_crav,
-    )
+    return FeatureVector(log.user_id, *_feature_values(log, mode))

@@ -80,21 +80,22 @@ class UserNotFound(LookupError):
 class IngestReport(_Value):
     """Tally of accepted vs rejected input lines.
 
-    rejects holds (line number, error name) for every rejected line, in
-    input order. accepted + rejected equals the number of lines attempted
-    (blank lines and the CSV header are not attempted). Mutable, so unhashable.
+    rejects holds (line number, error name) for every rejected line, in input
+    order; rejected is its length. accepted + rejected is the number of lines
+    attempted (blank lines and the CSV header are not). Mutable, so unhashable.
     """
 
-    __slots__ = ("accepted", "rejected", "rejects")
+    __slots__ = ("accepted", "rejects")
 
-    def __init__(self, accepted: int = 0, rejected: int = 0,
-                 rejects: list[tuple[int, str]] | None = None) -> None:
+    def __init__(self, accepted: int = 0, rejects: list[tuple[int, str]] | None = None) -> None:
         self.accepted = accepted
-        self.rejected = rejected
         self.rejects = [] if rejects is None else rejects
 
+    @property
+    def rejected(self) -> int:
+        return len(self.rejects)
+
     def reject(self, line_no: int, error_name: str) -> None:
-        self.rejected += 1
         self.rejects.append((line_no, error_name))
 
 

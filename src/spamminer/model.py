@@ -106,6 +106,10 @@ class CommentRecord(_CommentRecordFields):
             raise ValidationError("text must be a string")
         if isinstance(timestamp_s, bool) or not isinstance(timestamp_s, int):
             raise ValidationError("timestamp_s must be an integer")
+        if not isinstance(video_id, str):
+            raise ValidationError("video_id must be a string")
+        if not isinstance(user_id, str):
+            raise ValidationError("user_id must be a string")
         user_id = user_id.strip()
         video_id = video_id.strip()
         comment_id = (comment_id.strip() or None) if comment_id else None

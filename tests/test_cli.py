@@ -30,7 +30,7 @@ from spamminer.cli import (
 from spamminer.model import build_log, format_rfc3339, record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
-from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_record
+from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_log, make_record
 
 
 @pytest.fixture
@@ -102,6 +102,30 @@ class TestScore:
         batch = classifier.classify_batch(fvs)
         expected = "".join(verdict_to_json(v) + "\n" for v in batch.verdicts)
         assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("case", ["contiguous", "late_repeat"])
+    def test_each_verdict_is_the_library_verdict(self, tmp_path, case):
+        # Rows of (ts, text, video, hint). A 1-comment user has no atdc_s, a 2-comment user
+        # at one instant has atdc_s 0.0, and the others have indicators that are not round.
+        rows = {
+            "thirds": [(0, "a", "v1", True), (7, "a", "v2"), (19, "b", "v2")],
+            "one": [(5, "a", "v1", True)],
+            "same-second": [(9, "a", "v1"), (9, "b", "v2")],
+            "sevenths": [(3 ** k, "ab"[k % 2], f"v{k % 3}", k % 4 == 0) for k in range(7)],
+            "epoch-scale": [(1_700_000_000 + 37 * k * k, "xy"[k % 3 == 0], f"v{k % 2}")
+                            for k in range(9)],
+        }
+        logs = {user: make_log(user, user_rows) for user, user_rows in rows.items()}
+        transform, _ = ORDER_CASES[case]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(_render(transform([rec for log in logs.values() for rec in log.records]),
+                                   "jsonl"))
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["score", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines == [verdict_to_json(classifier.classify(features.feature_vector(logs[user])))
+                         for user in sorted(logs)]
+        assert '"atdc_s"' not in lines[1] and '"atdc_s": 0.0,' in lines[2]  # one, same-second
 
     def test_custom_config(self, corpus_path, tmp_path):
         cfg_path = tmp_path / "rule.json"
@@ -290,6 +314,19 @@ for argv in (["synth", "--seed", "2011", "--out", "corpus.jsonl"],
              ["report", "--input", "corpus.jsonl", "--svg", "--outdir", "figs"]):
     if main(argv):
         sys.exit(1)
+"""
+
+# A warm-up score, then the peak bytes that a score of 2,000 and of 4,000 users allocates.
+_SCORE_PEAKS = """
+import tracemalloc
+from spamminer.cli import main
+assert main(["score", "--input", "warm-up.jsonl", "--output", "verdicts.jsonl"]) == 0
+tracemalloc.start()
+for n_users in (2000, 4000):
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    assert main(["score", "--input", f"{n_users}.jsonl", "--output", "verdicts.jsonl"]) == 0
+    print(tracemalloc.get_traced_memory()[1] - before)
 """
 
 # A warm-up fetch, then the bytes that a fetch of the users in users.txt leaves allocated.
@@ -866,14 +903,14 @@ class TestInputOrder:
             return iter_records(lines(), report, ids)
 
         read_at_vector: dict[str, int] = {}
-        feature_vector = features.feature_vector
+        feature_values = features._feature_values
 
-        def recording_feature_vector(log, *args):
+        def recording_feature_values(log, *args):
             read_at_vector[log.user_id] = lines_read
-            return feature_vector(log, *args)
+            return feature_values(log, *args)
 
         monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
-        monkeypatch.setattr(features, "feature_vector", recording_feature_vector)
+        monkeypatch.setattr(features, "_feature_values", recording_feature_values)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
 
@@ -946,6 +983,24 @@ class TestInputOrder:
         assert len(videos) < len({(rec.user_id, rec.video_id) for rec in kept})
         assert len({id(rec.user_id) for rec in kept}) == len(logs)
         assert len({id(rec.video_id) for rec in kept}) == len(videos)
+
+    def test_score_keeps_one_row_per_user(self, tmp_path):
+        # Until the input ends, score keeps each user's six numbers and user_id, and no
+        # FeatureVector or float objects: its peak grows by well under 250 B per user.
+        for name, n_users in (("warm-up", 10), ("2000", 2_000), ("4000", 4_000)):
+            with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+                for i in range(n_users):
+                    for k in range(3):  # features that are not round: thirds, 18.67 s
+                        fh.write(record_to_json(make_record(
+                            user=f"user-{i:05d}", video=f"v{k % 2}", ts=1000 * i + 7 * k * k,
+                            text=f"t{k % 2}", hint=k == 0, cid=f"c{k}")) + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.run([sys.executable, "-B", "-c", _SCORE_PEAKS], cwd=tmp_path,
+                               env={"PYTHONPATH": src}, capture_output=True, check=True)
+        assert child.stderr.endswith(b"scored 4000 users: "
+                                     b"{'spammer': 0, 'legit': 0, 'insufficient': 4000}\n")
+        peak_2000, peak_4000 = map(int, child.stdout.split())
+        assert (peak_4000 - peak_2000) / 2_000 < 250
 
     @pytest.mark.parametrize("case", ["contiguous", "shuffled"])
     def test_one_verdict_at_a_time(self, tmp_path, monkeypatch, case):

@@ -118,6 +118,10 @@ class TestValidateRecord:
         (("u", "v", "5"), "timestamp_s must be an integer"),
         (("u", "v", 5.9), "timestamp_s must be an integer"),
         (("u", "v", True), "timestamp_s must be an integer"),
+        ((5, "v", 0), "user_id must be a string"),
+        ((b"u", "v", 0), "user_id must be a string"),
+        (("u", None, 0), "video_id must be a string"),
+        (("u", b"v", 0), "video_id must be a string"),
     ])
     @pytest.mark.parametrize("build", ["direct", "_replace"])
     def test_mistyped_field_rejected(self, args, message, build):

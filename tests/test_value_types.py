@@ -150,7 +150,7 @@ class TestIngestReport:
     def test_defaults_and_keywords(self):
         report = IngestReport()
         assert (report.accepted, report.rejected, report.rejects) == (0, 0, [])
-        assert IngestReport(accepted=2, rejected=1, rejects=[(1, "ParseError")]).rejected == 1
+        assert IngestReport(accepted=2, rejects=[(1, "ParseError")]).rejected == 1
 
     def test_each_report_has_its_own_rejects(self):
         first, second = IngestReport(), IngestReport()
@@ -173,7 +173,7 @@ class TestIngestReport:
         report = IngestReport()
         report.reject(2, "LoneSurrogate")
         assert repr(report) == (
-            "IngestReport(accepted=0, rejected=1, rejects=[(2, 'LoneSurrogate')])")
+            "IngestReport(accepted=0, rejects=[(2, 'LoneSurrogate')])")
 
     def test_copy_and_pickle_round_trip(self):
         report = IngestReport(accepted=3)
