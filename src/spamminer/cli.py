@@ -29,7 +29,6 @@ from .model import (
     Label,
     MixedUsers,
     RuleConfig,
-    UserActivityLog,
     build_log,
     load_rule_config,
     verdict_to_json,
@@ -123,11 +122,11 @@ def _load_config(path: str | None) -> RuleConfig:
 def _corpus_features(args: argparse.Namespace) -> Iterator[FeatureVector]:
     """Parse --input and compute each user's feature values; yield the vectors by user_id.
 
-    A file that keeps each user's records in one contiguous run is scored one
-    user at a time, as each run ends. At the first user_id that comes back,
-    the file is read again and grouped whole. A pipe cannot be read twice, so
-    it is grouped whole at once. Only the grouped-whole read keeps its
-    records, so only it shares their id strings through a table.
+    One loop scores each run of one user_id as it ends. At the first user_id
+    that comes back, the loop starts over on the file read whole and stably
+    sorted by user_id, which keeps each user's records in input order. A pipe
+    cannot be read twice, so it is read whole and sorted at once. Only the
+    whole read keeps its records, so only it shares their id strings.
 
     Per user, only one row of six numbers is kept until the input ends: the
     FeatureVector fields after user_id, in one array, with 0.0 for an absent
@@ -135,31 +134,26 @@ def _corpus_features(args: argparse.Namespace) -> Iterator[FeatureVector]:
     before this returns; each vector is then built as it is asked for.
     """
     records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
-    rows: dict[str, int] = {}  # user_id -> row number in table
-    table = array("d")
-
-    def add_row(log: UserActivityLog) -> None:
-        values = features._feature_values(log, args.normalization)
-        rows[log.user_id] = len(rows)
-        table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
-
+    user_id_of = attrgetter("user_id")
     with open(args.input, "rb") as fh:
-        rep = ingest.IngestReport()
-        grouped = fh.seekable()
-        if grouped:
-            for user_id, run in groupby(records_of(fh, rep), key=attrgetter("user_id")):
+        whole = not fh.seekable()
+        while True:
+            rows: dict[str, int] = {}  # user_id -> row number in table
+            table = array("d")
+            rep = ingest.IngestReport()
+            records = (sorted(records_of(fh, rep, {}), key=user_id_of) if whole
+                       else records_of(fh, rep))
+            for user_id, run in groupby(records, key=user_id_of):
                 if user_id in rows:  # the first repeat: this user's row is incomplete
-                    rows.clear()
-                    del table[:]
-                    fh.seek(0)
-                    rep = ingest.IngestReport()
-                    grouped = False
                     break
-                add_row(build_log(user_id, list(run)))
-        if not grouped:
-            logs = ingest.group_by_user(records_of(fh, rep, {}))
-            while logs:  # each log is freed once its row is made
-                add_row(logs.pop())
+                values = features._feature_values(build_log(user_id, list(run)),
+                                                  args.normalization)
+                rows[user_id] = len(rows)
+                table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
+            else:  # every run read: no user_id came back
+                break
+            fh.seek(0)
+            whole = True
     _warn_rejects(args.input, rep.rejects)
     if rep.rejected:
         _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
@@ -213,7 +207,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None
     # Only \n ends a line: read_text has turned \r\n and \r into it, and an id may hold U+2028.
-    users = [line.strip() for line in text.split("\n") if line.strip()]
+    users = list(dict.fromkeys(line.strip() for line in text.split("\n") if line.strip()))
     fetched = 0
     for user_id in users:
         try:
@@ -259,7 +253,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.figures.strip().lower() == "all":
         figure_ids = list(report.FIGURE_IDS)
     else:
-        figure_ids = [name.strip() for name in args.figures.split(",") if name.strip()]
+        figure_ids = list(dict.fromkeys(filter(None, map(str.strip, args.figures.split(",")))))
         unknown = [name for name in figure_ids if name not in report.FIGURE_COLUMNS]
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")

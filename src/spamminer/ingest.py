@@ -106,6 +106,16 @@ _JSON_WHITESPACE = " \t\n\r"
 _BOM = "\ufeff"
 
 
+def _without_bom(stream: IO | Iterable) -> Iterator:
+    """The lines of stream, with one leading byte order mark dropped, as an editor may write it."""
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is None:
+        return lines
+    bom = _BOM if isinstance(first, str) else _BOM.encode("utf-8")
+    return chain((first.removeprefix(bom),), lines)
+
+
 def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
     """Parse canonical JSON-Lines input, one record attempted per non-empty line.
 
@@ -127,12 +137,7 @@ def iter_jsonl(
     decode_record does; a caller that keeps the records passes one. Raises
     AllLinesRejected when the stream is exhausted with lines but no record.
     """
-    lines = iter(stream)
-    first = next(lines, None)
-    if first is not None:  # an editor may start a UTF-8 file with a byte order mark
-        bom = _BOM if isinstance(first, str) else _BOM.encode("utf-8")
-        lines = chain((first.removeprefix(bom),), lines)
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_without_bom(stream), start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
@@ -190,8 +195,6 @@ def iter_csv(
         return
     if not_utf8:
         raise MissingHeader("header line is not UTF-8")
-    if header:  # a spreadsheet's "CSV UTF-8" export starts the file with a byte order mark
-        header[0] = header[0].removeprefix(_BOM)
     columns = [name.strip() for name in header]
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
     if missing:
@@ -246,9 +249,10 @@ def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
     """Yield each physical line as text; append the number of each non-UTF-8 line to not_utf8.
 
     Such a line is yielded with replacement characters, so the CSV reader
-    keeps its place, and parse_csv rejects the row that spans it.
+    keeps its place, and parse_csv rejects the row that spans it. One leading
+    byte order mark is dropped here, so a quoted header cell still parses.
     """
-    for line_no, line in enumerate(stream, start=1):
+    for line_no, line in enumerate(_without_bom(stream), start=1):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")

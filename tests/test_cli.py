@@ -12,13 +12,13 @@ import random
 import subprocess
 import sys
 import threading
-from itertools import groupby
+from itertools import groupby, product
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
-from spamminer import classifier, cli, features, ingest
+from spamminer import classifier, cli, features, ingest, report
 from spamminer.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -457,6 +457,24 @@ class TestFetch:
         assert capsys.readouterr().err == f"spamminer: fetched 1/1 users into {cache_dir}\n"
         assert [p.name for p in cache_dir.iterdir()] == ["alice.jsonl"]
 
+    def test_repeated_user_fetched_once(self, tmp_path, capsys, monkeypatch):
+        feed_dir = tmp_path / "feed"
+        for uid in ("alice", "bob"):
+            ingest.cache_put(feed_dir, ingest.group_by_user([make_record(user=uid, ts=1)])[0])
+        users = tmp_path / "users.txt"
+        users.write_text("bob\nalice\n bob \nalice\nbob\n", encoding="utf-8")
+        fetched = []
+        fetch_user_log = ingest.fetch_user_log
+        monkeypatch.setattr(ingest, "fetch_user_log",
+                            lambda endpoint, user_id, *args: fetched.append(user_id)
+                            or fetch_user_log(endpoint, user_id, *args))
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert fetched == ["bob", "alice"]
+        assert capsys.readouterr().err == f"spamminer: fetched 2/2 users into {cache_dir}\n"
+
     def test_non_utf8_users_file_is_usage_error(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
@@ -799,10 +817,20 @@ def _dup_across_runs(records):
     return records[:end] + [dup] + records[end:]
 
 
+def _shuffled(records):
+    return random.Random(7).sample(records, len(records))
+
+
+def _rejected_in_shuffled(records):
+    shuffled = _shuffled(records)
+    return shuffled[:5] + [GARBAGE] + shuffled[5:]
+
+
 # name -> (transform of the contiguous records, whether the input is grouped)
 ORDER_CASES = {
     "contiguous": (lambda recs: recs, True),
-    "shuffled": (lambda recs: random.Random(7).sample(recs, len(recs)), False),
+    "shuffled": (_shuffled, False),
+    "rejected_in_shuffled": (_rejected_in_shuffled, False),
     "late_repeat": (lambda recs: recs[1:] + recs[:1], False),
     "dup_in_run": (_dup_in_run, True),
     "dup_across_runs": (_dup_across_runs, False),
@@ -813,7 +841,7 @@ ORDER_CASES = {
 
 
 def _grouped_features(args):
-    """The whole-corpus path, parse -> group_by_user -> feature_vector: the oracle."""
+    """Parse whole -> group_by_user -> feature_vector: the oracle, which cli does not use."""
     parse = ingest.parse_jsonl if args.format == "jsonl" else ingest.parse_csv
     with open(args.input, "rb") as fh:
         records, rep = parse(fh)
@@ -823,6 +851,22 @@ def _grouped_features(args):
         cli._warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
     return [features.feature_vector(log, args.normalization)
             for log in ingest.group_by_user(records)]
+
+
+def _count_lines_read(monkeypatch, fmt: str) -> list[int]:
+    """Make ingest.iter_{fmt} count each line it reads into the one item of the list returned."""
+    lines_read = [0]
+    iter_records = getattr(ingest, f"iter_{fmt}")
+
+    def counting_iter(stream, report, ids=None):
+        def lines():
+            for line in stream:
+                lines_read[0] += 1
+                yield line
+        return iter_records(lines(), report, ids)
+
+    monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
+    return lines_read
 
 
 def _score_and_report(corpus, fmt: str, outdir, capsys) -> dict[str, bytes]:
@@ -849,12 +893,11 @@ class TestInputOrder:
         corpus = tmp_path / f"corpus.{fmt}"
         corpus.write_bytes(_render(items, fmt))
 
-        group_calls = []
-        group_by_user = ingest.group_by_user
-        monkeypatch.setattr(ingest, "group_by_user",
-                            lambda recs: group_calls.append(1) or group_by_user(recs))
+        lines_read = _count_lines_read(monkeypatch, fmt)
         streamed = _score_and_report(corpus, fmt, tmp_path / "streamed", capsys)
-        assert bool(group_calls) is not grouped  # the fallback ran only on ungrouped input
+        total_lines = len(items) + (fmt == "csv")
+        # Score, then report, each read the file once, and once more only on ungrouped input.
+        assert (lines_read[0] == 2 * total_lines) is grouped
 
         monkeypatch.setattr(cli, "_corpus_features", _grouped_features)
         expected = _score_and_report(corpus, fmt, tmp_path / "grouped", capsys)
@@ -863,21 +906,32 @@ class TestInputOrder:
         assert rejected == 2 * sum(item is GARBAGE for item in items)  # score, then report
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_is_grouped_whole(self, tmp_path):
-        # A pipe cannot be read a second time, so ungrouped records must still score.
-        records = _contiguous_records()
-        data = _render(records[1:] + records[:1], "jsonl")
-        (tmp_path / "corpus.jsonl").write_bytes(data)
-        fifo = tmp_path / "pipe.jsonl"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
-        writer.start()
-        code = main(["score", "--input", str(fifo), "--output", str(tmp_path / "piped.jsonl")])
-        writer.join()
-        assert code == EXIT_OK
-        assert main(["score", "--input", str(tmp_path / "corpus.jsonl"),
-                     "--output", str(tmp_path / "filed.jsonl")]) == EXIT_OK
-        assert (tmp_path / "piped.jsonl").read_bytes() == (tmp_path / "filed.jsonl").read_bytes()
+    def test_pipe_is_grouped_whole(self, tmp_path, capsys):
+        # A pipe cannot be read a second time, so ungrouped records must score from one read.
+        for fmt, case in product(["jsonl", "csv"], ["late_repeat", "rejected_in_shuffled"]):
+            transform, _ = ORDER_CASES[case]
+            data = _render(transform(_contiguous_records()), fmt)
+            fifo, corpus = tmp_path / f"{case}.{fmt}.pipe", tmp_path / f"{case}.{fmt}"
+            os.mkfifo(fifo)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                lines_read = _count_lines_read(monkeypatch, fmt)
+                writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+                writer.start()
+                code = main(["score", "--input", str(fifo), "--format", fmt,
+                             "--output", str(tmp_path / "piped.jsonl")])
+                writer.join()
+                assert code == EXIT_OK
+                assert lines_read[0] == data.count(b"\n")
+                piped_err = capsys.readouterr().err.replace(str(fifo), "IN")
+
+                corpus.write_bytes(data)
+                monkeypatch.setattr(cli, "_corpus_features", _grouped_features)
+                assert main(["score", "--input", str(corpus), "--format", fmt,
+                             "--output", str(tmp_path / "filed.jsonl")]) == EXIT_OK
+            piped = (tmp_path / "piped.jsonl").read_bytes()
+            assert piped == (tmp_path / "filed.jsonl").read_bytes()
+            assert piped_err == capsys.readouterr().err.replace(str(corpus), "IN")
+            assert piped_err.count("rejected line") == (case == "rejected_in_shuffled")
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_at_most_one_user_buffered(self, tmp_path, monkeypatch, fmt):
@@ -958,26 +1012,24 @@ class TestInputOrder:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("case", ["late_repeat", "shuffled"])
     def test_grouped_whole_logs_share_id_strings(self, tmp_path, monkeypatch, case, fmt):
-        # The grouped-whole read keeps every record: one string per user and per
+        # The whole read keeps every record: one string per user and per
         # video, across users too (each video_id here is shared by several users).
         transform, _ = ORDER_CASES[case]
         records = transform([rec._replace(video_id=rec.video_id[-3:])
                              for rec in _contiguous_records()])
         corpus = tmp_path / f"corpus.{fmt}"
         corpus.write_bytes(_render(records, fmt))
-        logs = []
-        group_by_user = ingest.group_by_user
+        logs = {}  # user_id -> the last log cli built for it: the whole read's
 
-        def keeping_group_by_user(recs):
-            grouped = group_by_user(recs)
-            logs.extend(grouped)
-            return grouped
+        def keeping_build_log(user_id, recs):
+            logs[user_id] = log = build_log(user_id, recs)
+            return log
 
-        monkeypatch.setattr(ingest, "group_by_user", keeping_group_by_user)
+        monkeypatch.setattr(cli, "build_log", keeping_build_log)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
 
-        kept = [rec for log in logs for rec in log.records]
+        kept = [rec for log in logs.values() for rec in log.records]
         assert len(kept) == len(records)
         videos = {rec.video_id for rec in kept}
         assert len(videos) < len({(rec.user_id, rec.video_id) for rec in kept})
@@ -1107,6 +1159,19 @@ class TestReport:
         assert code == EXIT_OK
         names = sorted(p.name for p in outdir.iterdir())
         assert names == ["fig2.csv", "fig2.svg", "fig5.csv", "fig5.svg", "summary.json"]
+
+    def test_repeated_figure_written_once(self, corpus_path, tmp_path, capsys, monkeypatch):
+        written = []
+        write_figure_csv = report.write_figure_csv
+        monkeypatch.setattr(report, "write_figure_csv",
+                            lambda ds, outdir: written.append(ds.figure_id)
+                            or write_figure_csv(ds, outdir))
+        outdir = tmp_path / "figs"
+        code = main(["report", "--input", str(corpus_path), "--figures", "fig5,fig2, fig5,fig2",
+                     "--outdir", str(outdir)])
+        assert code == EXIT_OK
+        assert written == ["fig5", "fig2"]
+        assert f"wrote 2 figure dataset(s) and summary.json to {outdir}" in capsys.readouterr().err
 
     def test_all_figures_fig6_csv_only(self, corpus_path, tmp_path):
         outdir = tmp_path / "figs"

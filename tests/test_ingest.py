@@ -200,6 +200,7 @@ class TestRoundTrip:
 
 
 CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint"
+QUOTED_CSV_HEADER = ",".join(f'"{name}"' for name in CSV_HEADER.split(","))
 
 
 # Lines of JSONL input: valid and invalid records (lone surrogates among
@@ -277,17 +278,20 @@ class TestParseCsv:
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_byte_order_mark_dropped(self, as_text):
-        # A spreadsheet's "CSV UTF-8" export begins with U+FEFF.
-        data = "\ufeff" + CSV_HEADER + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n"
-        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
-        records, report = parse_csv(stream)
-        assert [rec.user_id for rec in records] == ["u1"]
-        assert report.accepted == 1
+        # A spreadsheet's "CSV UTF-8" export begins with U+FEFF, and may quote every cell.
+        for header in (CSV_HEADER, QUOTED_CSV_HEADER):
+            data = "\ufeff" + header + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n"
+            stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
+            records, report = parse_csv(stream)
+            assert [rec.user_id for rec in records] == ["u1"]
+            assert report.accepted == 1
 
     def test_only_one_byte_order_mark_dropped(self):
-        stream = io.BytesIO(("\ufeff\ufeff" + CSV_HEADER + "\n").encode("utf-8"))
-        with pytest.raises(MissingHeader, match="missing column: 'user_id'"):
-            parse_csv(stream)
+        for header in (CSV_HEADER, QUOTED_CSV_HEADER):
+            data = "\ufeff\ufeff" + header + "\n"
+            for stream in (io.StringIO(data), io.BytesIO(data.encode("utf-8"))):
+                with pytest.raises(MissingHeader, match="missing column: 'user_id'"):
+                    parse_csv(stream)
 
     def test_non_utf8_header_rejected(self):
         stream = io.BytesIO(CSV_HEADER.encode("utf-8") + b",note\xff\n"
