@@ -319,27 +319,35 @@ def _get_page(
     url = f"{base_url.rstrip('/')}/users/{quote(user_id, safe='')}/comments"
     if page_token is not None:
         url += "?" + urlencode({"page_token": page_token})
-    import requests  # imported here: only the HTTP feed needs it, and it is slow to import
+    # Imported here: only the HTTP feed needs them.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     # One initial attempt plus one retry per backoff step; 404 is definitive
-    # and never retried, transport errors and 5xx are.
+    # and never retried, transport errors and 5xx are. A ValueError is a URL
+    # that http.client cannot parse, such as a port that is not a number.
     last_error: Exception | None = None
     for attempt in range(len(backoff_s) + 1):
         if attempt:
             time.sleep(backoff_s[attempt - 1])
         try:
-            response = requests.get(url, timeout=timeout_s)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=timeout_s) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             last_error = exc
             continue
-        if response.status_code == 404:
+        if status == 404:
             raise UserNotFound(f"user {user_id!r} not found at {base_url}")
-        if response.status_code >= 500:
-            last_error = IOError(f"HTTP {response.status_code} from {url}")
+        if status >= 500:
+            last_error = IOError(f"HTTP {status} from {url}")
             continue
-        if response.status_code != 200:
-            raise EndpointUnreachable(f"HTTP {response.status_code} from {url}")
-        return _decode_page(response.content, page_token, ids)
+        if status != 200:
+            raise EndpointUnreachable(f"HTTP {status} from {url}")
+        return _decode_page(body, page_token, ids)
     raise EndpointUnreachable(f"giving up on {url}: {last_error}")
 
 

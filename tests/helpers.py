@@ -13,10 +13,11 @@ import itertools
 import json
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from spamminer.model import (
     CommentRecord,
@@ -197,6 +198,10 @@ class MockUser:
     malformed_pages: set[int] = field(default_factory=set)
     raw_pages: dict[int, bytes] = field(default_factory=dict)  # bodies served as-is
     fail_first: int = 0  # number of HTTP 500s to serve before succeeding
+    status_pages: dict[int, int] = field(default_factory=dict)  # page served with this status
+    redirect_pages: dict[int, str] = field(default_factory=dict)  # page answered by a 302 here
+    short_pages: set[int] = field(default_factory=set)  # body cut short of its Content-Length
+    stall_s: float = 0.0  # hold each request this long, then close without an answer
 
 
 @dataclass
@@ -221,7 +226,7 @@ class _FeedHandler(BaseHTTPRequestHandler):
         if len(parts) != 3 or parts[0] != "users" or parts[2] != "comments":
             self.send_error(404)
             return
-        user_id = parts[1]
+        user_id = unquote(parts[1])
         query = parse_qs(parsed.query)
         token = query.get("page_token", [None])[0]
         self.feed.requests.append((user_id, token))
@@ -230,6 +235,9 @@ class _FeedHandler(BaseHTTPRequestHandler):
         if user is None:
             self.send_error(404)
             return
+        if user.stall_s:
+            time.sleep(user.stall_s)
+            return
         served = self.feed._failures_served.get(user_id, 0)
         if served < user.fail_first:
             self.feed._failures_served[user_id] = served + 1
@@ -237,6 +245,12 @@ class _FeedHandler(BaseHTTPRequestHandler):
             return
 
         page_idx = 0 if token is None else int(token.removeprefix("p"))
+        if page_idx in user.redirect_pages:
+            self.send_response(302)
+            self.send_header("Location", user.redirect_pages[page_idx])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if page_idx in user.malformed_pages:
             body = b"{this is not a feed page"
         elif page_idx in user.raw_pages:
@@ -246,11 +260,11 @@ class _FeedHandler(BaseHTTPRequestHandler):
             if page_idx + 1 < len(user.pages):
                 page_obj["next_page_token"] = f"p{page_idx + 1}"
             body = json.dumps(page_obj).encode("utf-8")
-        self.send_response(200)
+        self.send_response(user.status_pages.get(page_idx, 200))
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(body[:-1] if page_idx in user.short_pages else body)
 
 
 class FeedServer:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -636,6 +637,60 @@ class TestFetchHttp:
     def test_unreachable_endpoint(self):
         with pytest.raises(EndpointUnreachable):
             fetch_user_log("http://127.0.0.1:9", "u1", backoff_s=NO_BACKOFF)
+
+    @pytest.mark.parametrize("status", [403, 201])
+    def test_other_status_not_retried(self, status):
+        # A 201 carries a valid page, yet only a 200 is read as one.
+        feed = MockFeed(users={"u1": MockUser(
+            pages=[feed_page_records("u1", 0, 3)], status_pages={0: status},
+        )})
+        with FeedServer(feed) as server:
+            with pytest.raises(EndpointUnreachable, match=f"HTTP {status} from "):
+                fetch_user_log(server.base_url, "u1", backoff_s=NO_BACKOFF)
+        assert feed.request_count("u1") == 1
+
+    def test_redirect_followed(self):
+        feed = MockFeed(users={
+            "u1": MockUser(pages=[[]], redirect_pages={0: "/users/u1-moved/comments"}),
+            "u1-moved": MockUser(pages=[feed_page_records("u1", 0, 3)]),
+        })
+        with FeedServer(feed) as server:
+            result = fetch_user_log(server.base_url, "u1", backoff_s=NO_BACKOFF)
+        assert [rec.comment_id for rec in result.log.records] == ["u1-c0000", "u1-c0001",
+                                                                   "u1-c0002"]
+        assert feed.requests == [("u1", None), ("u1-moved", None)]
+
+    def test_body_cut_short_retried(self):
+        feed = MockFeed(users={"u1": MockUser(
+            pages=[feed_page_records("u1", 0, 3)], short_pages={0},
+        )})
+        with FeedServer(feed) as server:
+            with pytest.raises(EndpointUnreachable, match="giving up on "):
+                fetch_user_log(server.base_url, "u1", backoff_s=NO_BACKOFF)
+        assert feed.request_count("u1") == 4
+
+    def test_timeout_retried(self):
+        feed = MockFeed(users={"u1": MockUser(pages=[feed_page_records("u1", 0, 3)],
+                                              stall_s=1.0)})
+        with FeedServer(feed) as server:
+            start = time.monotonic()
+            with pytest.raises(EndpointUnreachable, match="giving up on "):
+                fetch_user_log(server.base_url, "u1", backoff_s=NO_BACKOFF, timeout_s=0.2)
+            elapsed = time.monotonic() - start
+        assert feed.request_count("u1") == 4
+        assert elapsed < 3.0  # four 0.2 s timeouts, not four 1 s stalls
+
+    @pytest.mark.parametrize("user_id", ["a/b", "a b", "é", "a?b", "50%"])
+    def test_percent_encoded_user_id(self, user_id):
+        feed = MockFeed(users={user_id: MockUser(pages=[
+            feed_page_records(user_id, 0, 2),
+            feed_page_records(user_id, 2, 2),
+        ])})
+        with FeedServer(feed) as server:
+            result = fetch_user_log(server.base_url, user_id, backoff_s=NO_BACKOFF)
+        assert result.log.user_id == user_id
+        assert len(result.log) == 4
+        assert feed.requests == [(user_id, None), (user_id, "p1")]
 
     def test_page_limit_truncates(self):
         feed = MockFeed(users={"u1": MockUser(pages=[

@@ -341,12 +341,15 @@ def _modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
     return out.split()
 
 
+HTTP_CLIENT_MODULES = ("requests", "urllib.request", "http.client")
+
+
 def test_cli_import_leaves_http_client_unloaded():
-    assert _modules_loaded_by_cli_import(("requests",)) == []
+    assert _modules_loaded_by_cli_import(HTTP_CLIENT_MODULES) == []
 
 
 def test_cli_import_loads_only_what_score_and_fetch_run():
-    unneeded = ("requests", "dataclasses", "spamminer.synth", "spamminer.report")
+    unneeded = (*HTTP_CLIENT_MODULES, "dataclasses", "spamminer.synth", "spamminer.report")
     assert _modules_loaded_by_cli_import(unneeded) == []
 
 
