@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,38 @@ class TestDeterminism:
     def test_different_seed_different_corpus(self):
         specs = benchmark_specs()
         assert corpus_bytes(generate(specs, 1)) != corpus_bytes(generate(specs, 2))
+
+
+FLAGGED, LEGIT, PROMOTER, REPEATER = (
+    PersonaKind.FLAGGED, PersonaKind.LEGIT, PersonaKind.PROMOTER, PersonaKind.REPEATER)
+# Every kind at the smallest sizes, where the small-log rules bend; long logs;
+# gap_s on every kind (0-90 s gaps reach the bot span cap); both ends of
+# video_count; every fraction knob at 0, 0.5 and 1.
+PIN_SPECS = [
+    *(PersonaSpec(kind, 2, (n, n)) for kind in PersonaKind for n in (1, 2, 3, 4)),
+    *(PersonaSpec(kind, 1, (200, 400)) for kind in PersonaKind),
+    *(PersonaSpec(kind, 2, gap_s=(0, 90)) for kind in PersonaKind),
+    PersonaSpec(PROMOTER, 2, video_count=(1, 3)),
+    PersonaSpec(PROMOTER, 2, video_count=(30, 30)),
+    *(PersonaSpec(REPEATER, 2, duplicate_fraction=f) for f in (0, 0.5, 1)),
+    *(PersonaSpec(kind, 2, hint_fraction=f) for kind in (FLAGGED, LEGIT) for f in (0, 0.5, 1)),
+]
+PIN_SHA256 = "3e2e1e412a7866fed3319532a962ad11771e71d3f343602359d212af01da7664"
+
+
+def test_corpus_bytes_pinned():
+    """Every record and label that generate draws, for three seeds, is pinned by hash.
+
+    The pinned digest was taken from the five-function emitter that came
+    before the single one, so a change to any draw, its order or a record
+    field shows here, on every supported Python.
+    """
+    h = hashlib.sha256()
+    for seed in (0, 7, 1234):
+        corpus = generate(PIN_SPECS, seed)
+        h.update(corpus_bytes(corpus))
+        h.update(json.dumps(sorted(corpus.truth.items())).encode() + b"\n")
+    assert h.hexdigest() == PIN_SHA256
 
 
 class TestCounts:
