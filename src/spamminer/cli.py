@@ -203,6 +203,10 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     if args.page_limit < 1:
         raise UsageError(f"--page-limit must be at least 1: {args.page_limit}")
     try:
+        ingest._is_http(args.endpoint)
+    except ValueError as exc:  # credentials in the URL; the message does not repeat them
+        raise UsageError(str(exc)) from None
+    try:
         text = Path(args.users).read_text(encoding="utf-8-sig")  # drops one leading BOM
     except UnicodeDecodeError as exc:
         raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None

@@ -22,6 +22,7 @@ import csv
 import errno
 import json
 import os
+import re
 import stat
 import tempfile
 import time
@@ -351,6 +352,23 @@ def _get_page(
     raise EndpointUnreachable(f"giving up on {url}: {last_error}")
 
 
+# An HTTP(S) endpoint, its scheme in any case, and its authority: up to the
+# first "/", "?" or "#", as urllib.parse.urlsplit reads it.
+_HTTP_ENDPOINT = re.compile(r"https?://([^/?#]*)", re.IGNORECASE)
+
+
+def _is_http(endpoint: str) -> bool:
+    """Whether endpoint is an HTTP(S) URL rather than a directory.
+
+    A URL with credentials (user:password@) is a ValueError whose message does
+    not repeat them: http.client would look the whole authority up as a host.
+    """
+    match = _HTTP_ENDPOINT.match(endpoint)
+    if match is not None and "@" in match[1]:
+        raise ValueError("credentials in the endpoint URL are not supported (user:password@)")
+    return match is not None
+
+
 def fetch_user_log(
     endpoint: str | os.PathLike,
     user_id: str,
@@ -362,7 +380,8 @@ def fetch_user_log(
     """Fetch one user's activity log from a feed endpoint.
 
     The endpoint is either an HTTP(S) base URL speaking the paged feed
-    protocol, or a directory in the cache layout, where a user without a
+    protocol (its scheme in any case, and no user:password@, which raises
+    ValueError), or a directory in the cache layout, where a user without a
     file raises UserNotFound. HTTP pages are followed via next_page_token
     until the final page or page_limit pages, whichever comes first; hitting
     the limit returns the partial log with truncated=True. Failed page
@@ -373,7 +392,7 @@ def fetch_user_log(
     if page_limit < 1:
         raise ValueError(f"page_limit must be positive: {page_limit}")
     endpoint_str = os.fspath(endpoint)
-    if not endpoint_str.startswith(("http://", "https://")):
+    if not _is_http(endpoint_str):
         loaded = _read_user_file(endpoint_str, user_id)
         if loaded is None:
             raise UserNotFound(f"no log file for user {user_id!r} in {endpoint_str}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -76,19 +76,19 @@ _EPOCH_BASE_S = 1609459200  # 2021-01-01T00:00:00Z
 _START_SPREAD_S = 365 * 86400
 
 
-def _check_range(name: str, rng_pair, minimum: int) -> tuple[int, int]:
-    lo, hi = rng_pair
-    if lo > hi:
-        raise InvalidSpec(f"{name} range is empty: ({lo}, {hi})")
-    if lo < minimum:
-        raise InvalidSpec(f"{name} must be >= {minimum}: ({lo}, {hi})")
-    return int(lo), int(hi)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_fraction(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidSpec(f"{name} must be in [0, 1]: {value}")
-    return float(value)
+# Each knob field: the smallest bound of its range (None for a fraction in
+# [0, 1]) and the kinds it applies to. Only comments_per_user is required.
+_KNOBS = {
+    "comments_per_user": (1, tuple(PersonaKind)),
+    "gap_s": (0, tuple(PersonaKind)),
+    "video_count": (1, (PersonaKind.PROMOTER,)),
+    "duplicate_fraction": (None, (PersonaKind.REPEATER,)),
+    "hint_fraction": (None, (PersonaKind.FLAGGED, PersonaKind.LEGIT)),
+}
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ class PersonaSpec:
 
     Knobs not applying to the kind must stay None: gap_s tunes comment
     spacing for any kind, video_count applies to promoter, duplicate_fraction
-    to repeater, hint_fraction to flagged and legit.
+    to repeater, hint_fraction to flagged and legit. count and every range
+    bound are ints (a bool is not one), a range is a tuple of two, and a
+    fraction is a number; every type is checked first, then the ranges.
     """
 
     kind: PersonaKind
@@ -109,25 +111,30 @@ class PersonaSpec:
     hint_fraction: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PersonaKind):
+            raise InvalidSpec(f"kind must be a PersonaKind: {self.kind!r}")
+        if not _is_int(self.count):
+            raise InvalidSpec("count must be an integer")
+        knobs = [(name, getattr(self, name), minimum, kinds)
+                 for name, (minimum, kinds) in _KNOBS.items()
+                 if getattr(self, name) is not None or name == "comments_per_user"]
+        for name, value, minimum, _ in knobs:
+            if minimum is None:
+                _check_number(name, value, InvalidSpec)
+            elif not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
+                raise InvalidSpec(f"{name} must be a two-integer range")
         if self.count < 0:
             raise InvalidSpec(f"count must be >= 0: {self.count}")
-        _check_range("comments_per_user", self.comments_per_user, 1)
-        if self.gap_s is not None:
-            _check_range("gap_s", self.gap_s, 0)
-        if self.video_count is not None:
-            if self.kind is not PersonaKind.PROMOTER:
-                raise InvalidSpec(f"video_count does not apply to kind {self.kind.value}")
-            _check_range("video_count", self.video_count, 1)
-        if self.duplicate_fraction is not None:
-            if self.kind is not PersonaKind.REPEATER:
-                raise InvalidSpec(
-                    f"duplicate_fraction does not apply to kind {self.kind.value}"
-                )
-            _check_fraction("duplicate_fraction", self.duplicate_fraction)
-        if self.hint_fraction is not None:
-            if self.kind not in (PersonaKind.FLAGGED, PersonaKind.LEGIT):
-                raise InvalidSpec(f"hint_fraction does not apply to kind {self.kind.value}")
-            _check_fraction("hint_fraction", self.hint_fraction)
+        for name, value, minimum, kinds in knobs:
+            if self.kind not in kinds:
+                raise InvalidSpec(f"{name} does not apply to kind {self.kind.value}")
+            if minimum is None:
+                if not 0.0 <= value <= 1.0:  # no float(): an int too large for one overflows
+                    raise InvalidSpec(f"{name} must be in [0, 1]: {value}")
+            elif value[0] > value[1]:
+                raise InvalidSpec(f"{name} range is empty: {value}")
+            elif value[0] < minimum:
+                raise InvalidSpec(f"{name} must be >= {minimum}: {value}")
 
 
 @dataclass(frozen=True)
@@ -164,136 +171,85 @@ def generate(specs: list[PersonaSpec], seed: int) -> LabeledCorpus:
     return LabeledCorpus(records=tuple(records), truth=truth)
 
 
+# Each kind's default gap range between comments, the prefix of its numbered
+# texts (a promoter posts its template every time), and the default share of
+# its comments that carry the spam-hint tag (None: no comment does).
+_KIND_DEFAULTS = {
+    PersonaKind.BOT: (BOT_GAP_S, "scripted burst", None),
+    PersonaKind.PROMOTER: (SLOW_GAP_S, None, None),
+    PersonaKind.REPEATER: (SLOW_GAP_S, "filler", None),
+    PersonaKind.FLAGGED: (SLOW_GAP_S, "flagged note", FLAGGED_HINT_FRACTION),
+    PersonaKind.LEGIT: (LEGIT_GAP_S, "thoughts", LEGIT_HINT_FRACTION),
+}
+
+
 def _emit_user(rng: random.Random, spec: PersonaSpec, uid: str) -> list[CommentRecord]:
+    """One user's records.
+
+    Every kind draws n, then the start, then its own draws, then the gaps;
+    every corpus depends on that order.
+    """
+    kind = spec.kind
+    gap_s, prefix, hint_fraction = _KIND_DEFAULTS[kind]
     lo, hi = spec.comments_per_user
     n = rng.randint(lo, hi)
     start = _EPOCH_BASE_S + rng.randrange(_START_SPREAD_S)
-    emit = {
-        PersonaKind.BOT: _emit_bot,
-        PersonaKind.PROMOTER: _emit_promoter,
-        PersonaKind.REPEATER: _emit_repeater,
-        PersonaKind.FLAGGED: _emit_flagged,
-        PersonaKind.LEGIT: _emit_legit,
-    }[spec.kind]
-    return emit(rng, spec, uid, n, start)
-
-
-def _offsets(rng: random.Random, n: int, gap_range: tuple[int, int]) -> list[int]:
+    if kind is PersonaKind.PROMOTER:
+        texts = [rng.choice(SPAM_TEMPLATES)] * n
+        k_lo, k_hi = spec.video_count or PROMOTER_VIDEOS
+        k = rng.randint(k_lo, k_hi)
+        names = [f"{uid}-v{j:02d}" for j in range(k)]  # one string per video, as a parse shares
+        videos = [names[i % k] for i in range(n)]
+    else:
+        texts = [f"{prefix} {i:03d} from {uid}" for i in range(n)]
+        # A bot posts on one video. The others use at most two: one below 4
+        # comments, then a 2:1 skew. Any two-way split of 3 comments puts 2/3
+        # of the pairs across videos, over the 0.60 threshold; from 4 comments
+        # up the ceil(2n/3) skew keeps the cross-video pair fraction at 8/15 or
+        # below.
+        first = n if n < 4 or kind is PersonaKind.BOT else (2 * n + 2) // 3
+        videos = [f"{uid}-v00"] * first + [f"{uid}-v01"] * (n - first)
+    hinted: set[int] = set()
+    if kind is PersonaKind.REPEATER:
+        template = rng.choice(SPAM_TEMPLATES)
+        fraction = spec.duplicate_fraction
+        dup_count = math.ceil((REPEATER_DUP_FRACTION if fraction is None else fraction) * n)
+        # Bump until matching pairs strictly clear 0.60 of all pairs; tiny logs
+        # would otherwise land exactly on the threshold, which never fires.
+        while dup_count < n and 10 * dup_count * (dup_count - 1) <= 6 * n * (n - 1):
+            dup_count += 1
+        for i in rng.sample(range(n), dup_count):
+            texts[i] = template
+    elif hint_fraction is not None:
+        fraction = hint_fraction if spec.hint_fraction is None else spec.hint_fraction
+        # flagged rounds up, to clear the hint threshold; legit down, to stay clear of it
+        rounding = math.ceil if kind is PersonaKind.FLAGGED else math.floor
+        hinted = set(rng.sample(range(n), rounding(fraction * n)))
+    gap_lo, gap_hi = spec.gap_s or gap_s
     offsets = [0]
     for _ in range(n - 1):
-        offsets.append(offsets[-1] + rng.randint(*gap_range))
-    return offsets
-
-
-def _record(uid: str, idx: int, video: str, ts: int, text: str, hint: bool) -> CommentRecord:
-    return CommentRecord(
-        user_id=uid,
-        video_id=video,
-        timestamp_s=ts,
-        text=text,
-        has_spam_hint=hint,
-        comment_id=f"{uid}-c{idx:03d}",
-    )
-
-
-def _skewed_videos(uid: str, n: int) -> list[str]:
-    """At most two videos: one video below 4 comments, then a 2:1 skew.
-
-    Any two-way split of 3 comments puts 2/3 of the pairs across videos,
-    over the 0.60 threshold; from 4 comments up the ceil(2n/3) skew keeps
-    the cross-video pair fraction at 8/15 or below.
-    """
-    if n < 4:
-        return [f"{uid}-v00"] * n
-    first = (2 * n + 2) // 3
-    return [f"{uid}-v00"] * first + [f"{uid}-v01"] * (n - first)
-
-
-def _emit_bot(rng, spec, uid, n, start):
-    gap_range = spec.gap_s or BOT_GAP_S
-    offsets = _offsets(rng, n, gap_range)
+        offsets.append(offsets[-1] + rng.randint(gap_lo, gap_hi))
     span = offsets[-1]
-    if span > BOT_SPAN_CAP_S:
+    if kind is PersonaKind.BOT and span > BOT_SPAN_CAP_S:
         offsets = [off * BOT_SPAN_CAP_S // span for off in offsets]
-    video = f"{uid}-v00"
     return [
-        _record(uid, i, video, start + off, f"scripted burst {i:03d} from {uid}", False)
-        for i, off in enumerate(offsets)
-    ]
-
-
-def _emit_promoter(rng, spec, uid, n, start):
-    template = rng.choice(SPAM_TEMPLATES)
-    k_lo, k_hi = spec.video_count or PROMOTER_VIDEOS
-    k = rng.randint(k_lo, k_hi)
-    videos = [f"{uid}-v{j:02d}" for j in range(k)]  # one string per video, as a parse shares
-    offsets = _offsets(rng, n, spec.gap_s or SLOW_GAP_S)
-    return [
-        _record(uid, i, videos[i % k], start + off, template, False)
-        for i, off in enumerate(offsets)
-    ]
-
-
-def _emit_repeater(rng, spec, uid, n, start):
-    template = rng.choice(SPAM_TEMPLATES)
-    fraction = spec.duplicate_fraction if spec.duplicate_fraction is not None else REPEATER_DUP_FRACTION
-    dup_count = min(n, math.ceil(fraction * n))
-    # Bump until matching pairs strictly clear 0.60 of all pairs; tiny logs
-    # would otherwise land exactly on the threshold, which never fires.
-    while dup_count < n and 10 * dup_count * (dup_count - 1) <= 6 * n * (n - 1):
-        dup_count += 1
-    dup_positions = set(rng.sample(range(n), dup_count)) if n else set()
-    videos = _skewed_videos(uid, n)
-    offsets = _offsets(rng, n, spec.gap_s or SLOW_GAP_S)
-    return [
-        _record(
-            uid, i, videos[i], start + off,
-            template if i in dup_positions else f"filler {i:03d} from {uid}",
-            False,
-        )
-        for i, off in enumerate(offsets)
-    ]
-
-
-def _emit_flagged(rng, spec, uid, n, start):
-    fraction = spec.hint_fraction if spec.hint_fraction is not None else FLAGGED_HINT_FRACTION
-    hint_count = min(n, math.ceil(fraction * n))
-    hint_positions = set(rng.sample(range(n), hint_count)) if n else set()
-    videos = _skewed_videos(uid, n)
-    offsets = _offsets(rng, n, spec.gap_s or SLOW_GAP_S)
-    return [
-        _record(
-            uid, i, videos[i], start + off,
-            f"flagged note {i:03d} from {uid}", i in hint_positions,
-        )
-        for i, off in enumerate(offsets)
-    ]
-
-
-def _emit_legit(rng, spec, uid, n, start):
-    fraction = spec.hint_fraction if spec.hint_fraction is not None else LEGIT_HINT_FRACTION
-    hint_count = int(fraction * n)
-    hint_positions = set(rng.sample(range(n), hint_count)) if hint_count else set()
-    videos = _skewed_videos(uid, n)
-    offsets = _offsets(rng, n, spec.gap_s or LEGIT_GAP_S)
-    return [
-        _record(
-            uid, i, videos[i], start + off,
-            f"thoughts {i:03d} from {uid}", i in hint_positions,
-        )
+        CommentRecord(user_id=uid, video_id=videos[i], timestamp_s=start + off, text=texts[i],
+                      has_spam_hint=i in hinted, comment_id=f"{uid}-c{i:03d}")
         for i, off in enumerate(offsets)
     ]
 
 
 # --- persona spec files and corpus output ----------------------------------
 
-_SPEC_KEYS = frozenset(
-    ("kind", "count", "comments_per_user", "gap_s", "video_count",
-     "duplicate_fraction", "hint_fraction")
-)
+_SPEC_KEYS = frozenset(field.name for field in fields(PersonaSpec))
 
 
 def persona_spec_from_obj(obj: dict) -> PersonaSpec:
+    """Decode one spec object; PersonaSpec checks every field.
+
+    Unknown keys are rejected, kind is mapped to a PersonaKind, and each JSON
+    array becomes a tuple.
+    """
     if not isinstance(obj, dict):
         raise InvalidSpec("persona spec must be a JSON object")
     unknown = sorted(set(obj) - _SPEC_KEYS)
@@ -303,20 +259,9 @@ def persona_spec_from_obj(obj: dict) -> PersonaSpec:
         kind = PersonaKind(obj.get("kind"))
     except ValueError:
         raise InvalidSpec(f"unknown persona kind: {obj.get('kind')!r}") from None
-    if "count" not in obj or not isinstance(obj["count"], int) or isinstance(obj["count"], bool):
-        raise InvalidSpec("count must be an integer")
-    kwargs: dict = {"kind": kind, "count": obj["count"]}
-    for name in ("comments_per_user", "gap_s", "video_count"):
-        if name in obj:
-            pair = obj[name]
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)):
-                raise InvalidSpec(f"{name} must be a two-integer range")
-            kwargs[name] = (pair[0], pair[1])
-    for name in ("duplicate_fraction", "hint_fraction"):
-        if name in obj:  # the range first: float() of an int too large for one overflows
-            kwargs[name] = _check_fraction(name, _check_number(name, obj[name], InvalidSpec))
-    return PersonaSpec(**kwargs)
+    values = {name: tuple(value) if isinstance(value, list) else value
+              for name, value in obj.items()}
+    return PersonaSpec(**{**values, "kind": kind, "count": obj.get("count")})
 
 
 def load_persona_specs(path: str) -> list[PersonaSpec]:

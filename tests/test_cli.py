@@ -766,6 +766,39 @@ class TestFetch:
         assert child.stderr.endswith(b"fetched 2000/2000 users into cache\n")
         assert int(child.stdout) < 64 * 1024
 
+    @pytest.mark.parametrize("userinfo", ["user:s3cret@", "s3cret@", ":s3cret@"])
+    def test_credentials_in_endpoint_are_a_usage_error(self, tmp_path, capsys, userinfo):
+        feed = MockFeed(users={"alice": MockUser(pages=[feed_page_records("alice", 0, 2)])})
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n", encoding="utf-8")
+        with FeedServer(feed) as server:
+            endpoint = server.base_url.replace("http://", "http://" + userinfo)
+            code = main(["fetch", "--endpoint", endpoint, "--users", str(users),
+                         "--cache", str(tmp_path / "cache")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("spamminer: usage error: credentials in the endpoint URL are not "
+                       "supported (user:password@)\n")
+        assert "s3cret" not in err
+        assert feed.requests == []
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("scheme", ["HTTP", "Http"])
+    def test_endpoint_scheme_in_any_case(self, tmp_path, capsys, scheme):
+        feed = MockFeed(users={"alice": MockUser(pages=[feed_page_records("alice", 0, 2),
+                                                        feed_page_records("alice", 2, 1)])})
+        users = tmp_path / "users.txt"
+        users.write_text("alice\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            endpoint = scheme + server.base_url.removeprefix("http")
+            code = main(["fetch", "--endpoint", endpoint, "--users", str(users),
+                         "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == f"spamminer: fetched 1/1 users into {cache_dir}\n"
+        assert feed.requests == [("alice", None), ("alice", "p1")]
+        assert len(ingest.cache_get(cache_dir, "alice")) == 3
+
 
 GARBAGE = object()  # stands for a line that does not parse, in either format
 CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint\n"

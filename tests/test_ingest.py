@@ -707,3 +707,18 @@ class TestFetchHttp:
     def test_bad_page_limit(self):
         with pytest.raises(ValueError):
             fetch_user_log("http://example.invalid", "u1", page_limit=0)
+
+    @pytest.mark.parametrize("scheme", ["http", "HTTP", "hTTps"])
+    def test_credentials_in_endpoint_rejected(self, scheme):
+        feed = MockFeed(users={"u1": MockUser(pages=[feed_page_records("u1", 0, 3)])})
+        with FeedServer(feed) as server:
+            endpoint = server.base_url.replace("http://", f"{scheme}://user:s3cret@")
+            with pytest.raises(ValueError, match="credentials") as excinfo:
+                fetch_user_log(endpoint, "u1", backoff_s=NO_BACKOFF)
+        assert "s3cret" not in str(excinfo.value)
+        assert feed.requests == []
+
+    def test_at_sign_after_the_host_is_not_a_credential(self):
+        with FeedServer(MockFeed()) as server:
+            with pytest.raises(UserNotFound):  # the feed was asked, and answered 404
+                fetch_user_log(server.base_url + "/feeds/@me", "u1@x", backoff_s=NO_BACKOFF)

@@ -6,6 +6,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spamminer.classifier import classify
 from spamminer.features import atdc, crav, crr, feature_vector, pchf, vidovp
@@ -184,6 +185,71 @@ class TestSpecValidation:
     def test_from_obj_unknown_kind(self):
         with pytest.raises(InvalidSpec, match="lurker"):
             persona_spec_from_obj({"kind": "lurker", "count": 1})
+
+
+class TestSpecFieldTypes:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"kind": PersonaKind.BOT, "count": "3"}, "count"),
+        ({"kind": "bot", "count": 1}, "kind"),
+        ({"kind": PersonaKind.BOT, "count": True}, "count"),
+        ({"kind": PersonaKind.BOT, "count": 1, "comments_per_user": (1.5, 3)},
+         "comments_per_user"),
+        ({"kind": PersonaKind.BOT, "count": 1, "gap_s": [1, 5]}, "gap_s"),
+        ({"kind": PersonaKind.FLAGGED, "count": 1, "hint_fraction": "0.5"}, "hint_fraction"),
+        ({"kind": PersonaKind.REPEATER, "count": 1, "duplicate_fraction": True},
+         "duplicate_fraction"),
+    ], ids=["count-str", "kind-str", "count-bool", "range-float", "range-list",
+            "fraction-str", "fraction-bool"])
+    def test_wrong_type_names_field(self, kwargs, field):
+        with pytest.raises(InvalidSpec, match=f"^{field} must be "):
+            PersonaSpec(**kwargs)
+
+    def test_bool_range_bound_in_file(self, tmp_path):
+        spec_path = tmp_path / "personas.json"
+        spec_path.write_text('[{"kind": "bot", "count": 1, "gap_s": [true, 5]}]',
+                             encoding="utf-8")
+        with pytest.raises(InvalidSpec, match="^gap_s must be a two-integer range$"):
+            load_persona_specs(str(spec_path))
+
+    def test_missing_count_in_file(self):
+        with pytest.raises(InvalidSpec, match="^count must be an integer$"):
+            persona_spec_from_obj({"kind": "bot"})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5,
+)
+_RANGE_VALUES = st.lists(st.integers(-1, 9) | st.booleans(), min_size=2, max_size=2)
+_FRACTION_VALUES = st.floats(-0.5, 1.5) | st.integers(-1, 2) | st.booleans() | st.text(max_size=2)
+_KNOB_VALUES = {
+    "comments_per_user": _RANGE_VALUES,
+    "gap_s": _RANGE_VALUES,
+    "video_count": _RANGE_VALUES,
+    "duplicate_fraction": _FRACTION_VALUES,
+    "hint_fraction": _FRACTION_VALUES,
+}
+# Near-valid objects, whose knobs may be absent, out of range or mistyped; and
+# objects with any of the seven keys, each holding any JSON value.
+_SPEC_OBJECTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from([kind.value for kind in PersonaKind]), "count": st.integers(-1, 3)},
+    optional=_KNOB_VALUES,
+) | st.dictionaries(st.sampled_from(["kind", "count", *_KNOB_VALUES]), _JSON_VALUES)
+
+
+@given(_SPEC_OBJECTS)
+def test_from_obj_returns_checked_spec_or_invalid_spec(obj):
+    """Any JSON object over the seven keys loads to a well-typed spec, or is InvalidSpec."""
+    try:
+        spec = persona_spec_from_obj(obj)
+    except InvalidSpec:
+        return
+    assert isinstance(spec.kind, PersonaKind)
+    assert type(spec.count) is int
+    for pair in (spec.comments_per_user, spec.gap_s, spec.video_count):
+        assert pair is None or (type(pair) is tuple and all(type(v) is int for v in pair))
 
 
 class TestFiles:
