@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import os
 import sys
 from array import array
 from itertools import groupby
@@ -182,6 +183,12 @@ def _explain(verdict, cfg: RuleConfig) -> str:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    try:  # a symlink or hard link to --input counts; the open below reports a missing --input
+        same = os.path.isfile(args.output) and os.path.samefile(args.output, args.input)
+    except (OSError, ValueError):
+        same = False
+    if same:
+        raise UsageError(f"--output is the --input file: {args.output}")
     cfg = _load_config(args.config)
     fvs = _corpus_features(args)
     out_path = Path(args.output)
@@ -220,8 +227,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 ingest.AllLinesRejected, MixedUsers, OSError) as exc:
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
-        if result.rejects:  # user_file renders the name as a Path does: feed/u1.jsonl for ./feed/
-            _warn_rejects(ingest.user_file(args.endpoint, user_id), result.rejects)
+        if result.rejects:  # a Path renders the name feed/u1.jsonl for ./feed/
+            _warn_rejects(Path(ingest.user_file(args.endpoint, user_id)), result.rejects)
         if result.truncated:
             _warn(f"log for {user_id!r} truncated at {args.page_limit} pages")
         try:
@@ -283,13 +290,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        _warn(f"usage error: {exc}")
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         _warn(f"usage error: {exc}")

@@ -13,7 +13,7 @@ directory of files can stand in for a real comment-activity API:
         -> 404 when the user is unknown
 
 next_page_token is absent on the final page. A directory endpoint serves
-one JSONL file per user instead, in the cache layout (see user_file).
+one JSONL file per user instead, named as user_file names a cache file.
 """
 
 from __future__ import annotations
@@ -416,17 +416,12 @@ def fetch_user_log(
 
 # --- on-disk cache ---------------------------------------------------------
 
-def _user_path(directory: str | os.PathLike, user_id: str) -> str:
-    # A str, not a Path: pathlib passes every name it parses through sys.intern.
-    return os.path.join(directory, quote(user_id, safe="") + ".jsonl")
-
-
-def user_file(directory: str | os.PathLike, user_id: str) -> Path:
+def user_file(directory: str | os.PathLike, user_id: str) -> str:
     """{directory}/{percent-encoded user_id}.jsonl, always a direct child of directory.
 
-    Returns a Path, for library callers.
+    A str, not a Path: pathlib passes every name it parses through sys.intern.
     """
-    return Path(_user_path(directory, user_id))
+    return os.path.join(directory, quote(user_id, safe="") + ".jsonl")
 
 
 def cache_put(directory: str | os.PathLike, log: UserActivityLog) -> Path:
@@ -445,7 +440,7 @@ def _write_user_file(directory: str | os.PathLike, log: UserActivityLog) -> str:
     An OSError names the user's file, or directory when no temp file could
     be made there; never the temp file, whose name is random.
     """
-    target = _user_path(directory, log.user_id)
+    target = user_file(directory, log.user_id)
     payload = "".join(record_to_json(rec) + "\n" for rec in log.records).encode("utf-8")
     try:
         try:
@@ -484,7 +479,7 @@ def _read_user_file(
     directory: str | os.PathLike, user_id: str
 ) -> tuple[UserActivityLog, IngestReport] | None:
     """cache_get, plus the IngestReport of the file's lines."""
-    path = _user_path(directory, user_id)
+    path = user_file(directory, user_id)
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):  # a directory, or a FIFO that open blocks on
             return None

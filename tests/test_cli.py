@@ -71,6 +71,21 @@ class TestScore:
         assert "PCHF" in by_user["flagged-0000"]["triggered"]
         assert by_user["legit-0000"]["label"] == "legit"
 
+    @pytest.mark.parametrize("link", ["same", "symlink", "link"])
+    def test_output_that_is_the_input_is_a_usage_error(self, corpus_path, tmp_path, capsys,
+                                                        link):
+        corpus = corpus_path.read_bytes()
+        out = corpus_path if link == "same" else tmp_path / "verdicts.jsonl"
+        if link != "same":
+            getattr(os, link)(corpus_path, out)  # a symlink or a hard link to the corpus
+        code = main(["score", "--input", str(corpus_path), "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: --output is the --input file: {out}\n")
+        assert corpus_path.read_bytes() == corpus
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["corpus.jsonl", "corpus.truth.json"] + ([] if link == "same" else [out.name]))
+
     def test_explain_goes_to_stderr(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(corpus_path), "--output", str(out),

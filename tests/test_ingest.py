@@ -28,6 +28,7 @@ from spamminer.ingest import (
     iter_jsonl,
     parse_csv,
     parse_jsonl,
+    user_file,
 )
 from spamminer.model import build_log, record_to_json
 
@@ -485,7 +486,7 @@ class TestCache:
         # no temp droppings left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u1.jsonl"]
 
-    @pytest.mark.parametrize("user_id", ["../escape", "a/b", "50%/x"])
+    @pytest.mark.parametrize("user_id", ["../escape", "a/b", "50%/x", "é", "a b", ".."])
     def test_user_id_stays_inside_directory(self, tmp_path, user_id):
         cache_dir = tmp_path / "cache"
         log = build_log(user_id, [make_record(user=user_id, ts=1, cid="c1")])
@@ -494,6 +495,9 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
         assert [p.name for p in cache_dir.iterdir()] == [path.name]
         assert cache_get(cache_dir, user_id) == log
+        name = user_file(cache_dir, user_id)
+        assert type(name) is str and name == str(path)
+        assert fetch_user_log(cache_dir, user_id).log == log
 
     def test_corrupt_entry_raises(self, tmp_path):
         cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
