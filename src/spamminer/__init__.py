@@ -6,14 +6,14 @@ PCHF, CRR/COMOVP, VIDOVP, plus the combined CRAV), and apply a configurable
 threshold rule to produce explainable per-user verdicts. A seeded synthetic
 corpus generator and figure/summary reporting support evaluation.
 
-The package root exports that pipeline and the values flowing through it;
-everything else is imported from its own module (spamminer.ingest,
-spamminer.report, spamminer.synth, ...).
+The package root exports the corpus scorer (score_corpus), the features of
+one log (feature_vector) and the values flowing through them; everything
+else is imported from its own module (spamminer.ingest, spamminer.report,
+spamminer.synth, ...).
 """
 
-from .classifier import classify_batch
+from .classifier import score_corpus
 from .features import feature_vector
-from .ingest import group_by_user, parse_jsonl
 from .model import (
     CommentRecord,
     FeatureVector,
@@ -34,8 +34,6 @@ __all__ = [
     "RuleConfig",
     "UserActivityLog",
     "Verdict",
-    "classify_batch",
     "feature_vector",
-    "group_by_user",
-    "parse_jsonl",
+    "score_corpus",
 ]

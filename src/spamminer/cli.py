@@ -8,6 +8,9 @@ stderr, so stdout stays pipeline-safe. Exit codes:
     2  config error (rule config or persona spec)
     3  input fully rejected
     4  endpoint or IO failure
+
+score and report warn about the rejected lines of classifier.score_corpus,
+the one corpus scorer, then draw its verdicts.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import argparse
 import errno
 import os
 import sys
-from array import array
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -26,11 +26,10 @@ from . import classifier, features, ingest
 from .model import (
     CLAUSES,
     ConfigError,
-    FeatureVector,
     Label,
     MixedUsers,
     RuleConfig,
-    build_log,
+    Verdict,
     load_rule_config,
     verdict_to_json,
 )
@@ -75,19 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="spamminer", description=__doc__.splitlines()[0],
                              epilog=_EPILOG)
     sub = parser.add_subparsers(dest="command", required=True)
-
     score = sub.add_parser("score", help="score a comment corpus and write verdicts",
                            epilog=_EPILOG)
-    score.add_argument("--input", required=True, help="corpus file (JSONL or CSV)")
-    score.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    score.add_argument("--config", help="rule config JSON (defaults when absent)")
+    fetch = sub.add_parser("fetch", help="fetch user logs from a feed into a cache")
+    synth_p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
+    rep = sub.add_parser("report", help="emit figure CSV/SVG and a summary")
+
+    for command in (score, rep):  # the inputs of classifier.score_corpus
+        command.add_argument("--input", required=True, help="corpus file (JSONL or CSV)")
+        command.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+        command.add_argument("--config", help="rule config JSON (defaults when absent)")
+        command.add_argument("--normalization", choices=features.NORMALIZATION_MODES,
+                             default=features.MODE_CANONICAL)
+
     score.add_argument("--output", required=True, help="verdicts JSONL path")
     score.add_argument("--explain", action="store_true",
                        help="print per-user triggered clauses to stderr")
-    score.add_argument("--normalization", choices=features.NORMALIZATION_MODES,
-                       default=features.MODE_CANONICAL)
 
-    fetch = sub.add_parser("fetch", help="fetch user logs from a feed into a cache")
     fetch.add_argument("--endpoint", required=True,
                        help="feed base URL or a directory of "
                             "{percent-encoded user_id}.jsonl files")
@@ -95,80 +98,37 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--cache", required=True, help="cache directory")
     fetch.add_argument("--page-limit", type=int, default=ingest.DEFAULT_PAGE_LIMIT)
 
-    synth_p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     synth_p.add_argument("--spec", help="persona spec JSON (default: benchmark mix "
                                         "of 100 legit + 25 of each spam kind)")
     synth_p.add_argument("--seed", type=int, required=True)
     synth_p.add_argument("--out", required=True, help="corpus JSONL path "
                                                       "(truth goes to {stem}.truth.json)")
 
-    rep = sub.add_parser("report", help="emit figure CSV/SVG and a summary")
-    rep.add_argument("--input", required=True, help="corpus file (JSONL or CSV)")
-    rep.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     rep.add_argument("--figures", default="all",
                      help="comma-separated figure ids (fig2..fig6) or 'all'")
     rep.add_argument("--outdir", required=True)
     rep.add_argument("--svg", action="store_true",
                      help="also emit SVG scatter plots (fig2-fig5)")
-    rep.add_argument("--config", help="rule config JSON for the gate and summary")
-    rep.add_argument("--normalization", choices=features.NORMALIZATION_MODES,
-                     default=features.MODE_CANONICAL)
     return parser
 
 
-def _load_config(path: str | None) -> RuleConfig:
-    return load_rule_config(path) if path else RuleConfig()
+def _score(args: argparse.Namespace) -> tuple[RuleConfig, Iterator[Verdict]]:
+    """--config, and score_corpus' verdicts on --input, its rejects warned about first."""
+    cfg = load_rule_config(args.config) if args.config else RuleConfig()
+    ingested, verdicts = classifier.score_corpus(args.input, format=args.format, config=cfg,
+                                                 normalization=args.normalization)
+    _warn_rejects(args.input, ingested.rejects)
+    if ingested.rejected:
+        _warn(f"{args.input}: {ingested.accepted} accepted, {ingested.rejected} rejected")
+    return cfg, verdicts
 
 
-def _corpus_features(args: argparse.Namespace) -> Iterator[FeatureVector]:
-    """Parse --input and compute each user's feature values; yield the vectors by user_id.
-
-    One loop scores each run of one user_id as it ends. At the first user_id
-    that comes back, the loop starts over on the file read whole and stably
-    sorted by user_id, which keeps each user's records in input order. A pipe
-    cannot be read twice, so it is read whole and sorted at once. Only the
-    whole read keeps its records, so only it shares their id strings.
-
-    Per user, only one row of six numbers is kept until the input ends: the
-    FeatureVector fields after user_id, in one array, with 0.0 for an absent
-    atdc_s. The input is parsed, and its rejects warned about or raised,
-    before this returns; each vector is then built as it is asked for.
-    """
-    records_of = ingest.iter_jsonl if args.format == "jsonl" else ingest.iter_csv
-    user_id_of = attrgetter("user_id")
-    with open(args.input, "rb") as fh:
-        whole = not fh.seekable()
-        while True:
-            rows: dict[str, int] = {}  # user_id -> row number in table
-            table = array("d")
-            rep = ingest.IngestReport()
-            records = (sorted(records_of(fh, rep, {}), key=user_id_of) if whole
-                       else records_of(fh, rep))
-            for user_id, run in groupby(records, key=user_id_of):
-                if user_id in rows:  # the first repeat: this user's row is incomplete
-                    break
-                values = features._feature_values(build_log(user_id, list(run)),
-                                                  args.normalization)
-                rows[user_id] = len(rows)
-                table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
-            else:  # every run read: no user_id came back
-                break
-            fh.seek(0)
-            whole = True
-    _warn_rejects(args.input, rep.rejects)
-    if rep.rejected:
-        _warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return _vectors(rows, table)
-
-
-def _vectors(rows: dict[str, int], table: array) -> Iterator[FeatureVector]:
-    """One FeatureVector per row of _corpus_features' table, in user_id order."""
-    for user_id in sorted(rows):
-        start = 6 * rows[user_id]
-        n_comments, atdc_s, pchf_pct, crr, vidovp, crav = table[start:start + 6]
-        n_comments = int(n_comments)
-        yield FeatureVector(user_id, n_comments, atdc_s if n_comments >= 2 else None,
-                            pchf_pct, crr, vidovp, crav)
+def _same_file(path: str, other: str) -> bool:
+    """Whether path exists and is other, directly or through a symlink or hard link."""
+    try:
+        return os.path.samefile(path, other)
+    except (OSError, ValueError):  # either is missing or not a valid path
+        return False
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
@@ -183,21 +143,16 @@ def _explain(verdict, cfg: RuleConfig) -> str:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:  # a symlink or hard link to --input counts; the open below reports a missing --input
-        same = os.path.isfile(args.output) and os.path.samefile(args.output, args.input)
-    except (OSError, ValueError):
-        same = False
-    if same:
+    # A missing --input is reported when score_corpus opens it.
+    if os.path.isfile(args.output) and _same_file(args.output, args.input):
         raise UsageError(f"--output is the --input file: {args.output}")
-    cfg = _load_config(args.config)
-    fvs = _corpus_features(args)
+    cfg, verdicts = _score(args)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     labels = {label.value: 0 for label in Label}
     # Each verdict is written as it is made, so only one is alive at a time.
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for fv in fvs:
-            verdict = classifier.classify(fv, cfg)
+        for verdict in verdicts:
             fh.write(verdict_to_json(verdict) + "\n")
             if args.explain:
                 _warn(_explain(verdict, cfg))
@@ -213,6 +168,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         ingest._is_http(args.endpoint)
     except ValueError as exc:  # credentials in the URL; the message does not repeat them
         raise UsageError(str(exc)) from None
+    # Each user's file would be read from and replaced in the one directory.
+    if os.path.isdir(args.cache) and _same_file(args.cache, args.endpoint):
+        raise UsageError(f"--cache is the --endpoint directory: {args.cache}")
     try:
         text = Path(args.users).read_text(encoding="utf-8-sig")  # drops one leading BOM
     except UnicodeDecodeError as exc:
@@ -268,15 +226,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         unknown = [name for name in figure_ids if name not in report.FIGURE_COLUMNS]
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")
-    cfg = _load_config(args.config)
-    fvs = list(_corpus_features(args))
+    cfg, verdicts = _score(args)
+    verdicts = list(verdicts)
+    fvs = [verdict.features for verdict in verdicts]
     for figure_id in figure_ids:
         ds = report.figure_dataset(fvs, figure_id, cfg)
         report.write_figure_csv(ds, args.outdir)
         if args.svg and len(ds.columns) == 2:
             report.write_figure_svg(ds, args.outdir)
-    report.write_summary(report.summarize(classifier.classify(fv, cfg) for fv in fvs),
-                         args.outdir)
+    report.write_summary(report.summarize(verdicts), args.outdir)
     _warn(f"wrote {len(figure_ids)} figure dataset(s) and summary.json to {args.outdir}")
     return EXIT_OK
 

@@ -19,10 +19,8 @@ ROOT_API = [
     "RuleConfig",
     "UserActivityLog",
     "Verdict",
-    "classify_batch",
     "feature_vector",
-    "group_by_user",
-    "parse_jsonl",
+    "score_corpus",
 ]
 
 

@@ -1,10 +1,25 @@
-"""Threshold rule behavior: gate, strict comparisons, triggered sets."""
+"""Threshold rule behavior (gate, strict comparisons, triggered sets) and the corpus scorer."""
 
 from __future__ import annotations
 
-from spamminer.classifier import classify, classify_batch
-from spamminer.model import FeatureVector, Indicator, Label, RuleConfig
+import csv
+
+import pytest
+
+from spamminer.classifier import classify, classify_batch, score_corpus
+from spamminer.features import MODE_RAW_BYTES, feature_vector
+from spamminer.ingest import CSV_REQUIRED_COLUMNS, AllLinesRejected, MissingHeader, group_by_user
+from spamminer.model import (
+    FeatureVector,
+    Indicator,
+    Label,
+    RuleConfig,
+    format_rfc3339,
+    record_to_json,
+)
 from spamminer.report import summarize
+
+from helpers import make_record
 
 
 def fv(n=10, atdc=3600.0, pchf=0.0, crr=0.0, vidovp=0.0, crav=0.0, user="u1"):
@@ -105,3 +120,54 @@ class TestClassifyBatch:
         batch = classify_batch(vectors)
         assert summarize(list(batch.verdicts))["labels"]["insufficient"] == 0
         assert len(batch.verdicts) == 119
+
+
+class TestScoreCorpus:
+    @pytest.mark.parametrize("late_repeat", [False, True])
+    def test_report_is_final_before_the_first_verdict(self, tmp_path, late_repeat):
+        records = [make_record(user=user, ts=k, text=f"t{k % 3}", cid=f"c{k}")
+                   for user in ("a", "b") for k in range(7)]
+        if late_repeat:  # "a" comes back after "b", so the file is read a second time
+            records = records[1:] + records[:1]
+        lines = [record_to_json(rec) for rec in records]
+        lines.insert(3, "not json")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        report, verdicts = score_corpus(corpus)
+        assert (report.accepted, report.rejects) == (14, [(4, "ParseError")])
+        assert list(verdicts) == [classify(feature_vector(log)) for log in group_by_user(records)]
+        assert (report.accepted, report.rejects) == (14, [(4, "ParseError")])
+
+    def test_keywords_reach_the_parser_the_features_and_the_rule(self, tmp_path):
+        # Seven comments an hour apart on one video, whose texts match once whitespace is
+        # normalized: COMOVP fires on canonical text only.
+        records = [make_record(ts=3600 * k, text="hi" + " " * k, cid=f"c{k}") for k in range(7)]
+        jsonl = tmp_path / "corpus.jsonl"
+        jsonl.write_text("".join(record_to_json(rec) + "\n" for rec in records), encoding="utf-8")
+        csv_path = tmp_path / "corpus.csv"
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow((*CSV_REQUIRED_COLUMNS, "comment_id"))
+            for rec in records:
+                writer.writerow((rec.user_id, rec.video_id, format_rfc3339(rec.timestamp_s),
+                                 rec.text, "false", rec.comment_id))
+
+        def labels(path, **keywords):
+            return [verdict.label for verdict in score_corpus(path, **keywords)[1]]
+
+        assert labels(jsonl) == labels(str(csv_path), format="csv") == [Label.SPAMMER]
+        assert labels(jsonl, normalization=MODE_RAW_BYTES) == [Label.LEGIT]
+        assert labels(jsonl, config=RuleConfig(min_comments=7)) == [Label.INSUFFICIENT]
+
+    @pytest.mark.parametrize("fmt, content, error", [
+        ("jsonl", b"not json\nstill not json\n", AllLinesRejected),
+        ("csv", b"user_id,video_id,published_at,text\nu1,v1,2011-01-01T00:00:00Z,hi\n",
+         MissingHeader),
+        ("xml", b"", ValueError),
+    ], ids=["all-lines-rejected", "missing-header", "unknown-format"])
+    def test_input_errors_are_raised_by_the_call(self, tmp_path, fmt, content, error):
+        corpus = tmp_path / "corpus"
+        corpus.write_bytes(content)
+        with pytest.raises(error):
+            score_corpus(corpus, format=fmt)  # no verdict is drawn

@@ -410,6 +410,32 @@ class TestFetch:
         assert sorted(p.name for p in cache_dir.iterdir()) == ["alice.jsonl", "bob.jsonl"]
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("link", ["same", "symlink"])
+    def test_cache_that_is_the_endpoint_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         link):
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        record = json.loads(record_to_json(make_record(user="u1", ts=1, cid="c1")))
+        feed = (json.dumps({**record, "extra": 1}) + "\nnot json\n").encode("utf-8")
+        (feed_dir / "u1.jsonl").write_bytes(feed)
+        cache_dir = feed_dir if link == "same" else tmp_path / "cache"
+        if link == "symlink":
+            os.symlink(feed_dir, cache_dir)
+        users = tmp_path / "users.txt"
+        users.write_text("u1\n", encoding="utf-8")
+        reads = []
+        fetch_user_log = ingest.fetch_user_log
+        monkeypatch.setattr(ingest, "fetch_user_log",
+                            lambda *args: reads.append(args) or fetch_user_log(*args))
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: --cache is the --endpoint directory: {cache_dir}\n")
+        assert reads == []
+        assert [p.name for p in feed_dir.iterdir()] == ["u1.jsonl"]
+        assert (feed_dir / "u1.jsonl").read_bytes() == feed
+
     def test_directory_endpoint_partial_rejects(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
@@ -888,17 +914,13 @@ ORDER_CASES = {
 }
 
 
-def _grouped_features(args):
-    """Parse whole -> group_by_user -> feature_vector: the oracle, which cli does not use."""
-    parse = ingest.parse_jsonl if args.format == "jsonl" else ingest.parse_csv
-    with open(args.input, "rb") as fh:
+def _grouped_score_corpus(path, *, format, config, normalization):
+    """Parse whole -> group_by_user -> feature_vector -> classify: the oracle for score_corpus."""
+    parse = ingest.parse_jsonl if format == "jsonl" else ingest.parse_csv
+    with open(path, "rb") as fh:
         records, rep = parse(fh)
-    for line_no, error_name in rep.rejects:
-        cli._warn(f"{args.input}:{line_no}: rejected line ({error_name})")
-    if rep.rejected:
-        cli._warn(f"{args.input}: {rep.accepted} accepted, {rep.rejected} rejected")
-    return [features.feature_vector(log, args.normalization)
-            for log in ingest.group_by_user(records)]
+    return rep, [classifier.classify(features.feature_vector(log, normalization), config)
+                 for log in ingest.group_by_user(records)]
 
 
 def _count_lines_read(monkeypatch, fmt: str) -> list[int]:
@@ -947,7 +969,7 @@ class TestInputOrder:
         # Score, then report, each read the file once, and once more only on ungrouped input.
         assert (lines_read[0] == 2 * total_lines) is grouped
 
-        monkeypatch.setattr(cli, "_corpus_features", _grouped_features)
+        monkeypatch.setattr(classifier, "score_corpus", _grouped_score_corpus)
         expected = _score_and_report(corpus, fmt, tmp_path / "grouped", capsys)
         assert streamed == expected
         rejected = expected["stderr"].decode().count("rejected line")
@@ -973,7 +995,7 @@ class TestInputOrder:
                 piped_err = capsys.readouterr().err.replace(str(fifo), "IN")
 
                 corpus.write_bytes(data)
-                monkeypatch.setattr(cli, "_corpus_features", _grouped_features)
+                monkeypatch.setattr(classifier, "score_corpus", _grouped_score_corpus)
                 assert main(["score", "--input", str(corpus), "--format", fmt,
                              "--output", str(tmp_path / "filed.jsonl")]) == EXIT_OK
             piped = (tmp_path / "piped.jsonl").read_bytes()
@@ -1067,13 +1089,13 @@ class TestInputOrder:
                              for rec in _contiguous_records()])
         corpus = tmp_path / f"corpus.{fmt}"
         corpus.write_bytes(_render(records, fmt))
-        logs = {}  # user_id -> the last log cli built for it: the whole read's
+        logs = {}  # user_id -> the last log score_corpus built for it: the whole read's
 
         def keeping_build_log(user_id, recs):
             logs[user_id] = log = build_log(user_id, recs)
             return log
 
-        monkeypatch.setattr(cli, "build_log", keeping_build_log)
+        monkeypatch.setattr(classifier, "build_log", keeping_build_log)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
 
