@@ -54,7 +54,9 @@ def score_corpus(
 ) -> tuple[ingest.IngestReport, Iterator[Verdict]]:
     """Score the corpus file at path: (its IngestReport, its verdicts in user_id order).
 
-    format is "jsonl" or "csv". The file is parsed, and AllLinesRejected or
+    format is "jsonl" or "csv", and normalization one of
+    features.NORMALIZATION_MODES; either, when unknown, is a ValueError raised
+    before the file is opened. The file is parsed, and AllLinesRejected or
     MissingHeader raised, before this returns; each verdict is classified as
     it is drawn. Each run of one user_id is scored as it ends, into one row
     of six numbers per user: the FeatureVector fields after user_id, with 0.0
@@ -65,6 +67,8 @@ def score_corpus(
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format!r}")
+    if normalization not in features.NORMALIZATION_MODES:
+        raise ValueError(f"unknown normalization mode: {normalization!r}")
     records_of = ingest.iter_jsonl if format == "jsonl" else ingest.iter_csv
     user_id_of = attrgetter("user_id")
     with open(path, "rb") as fh:

@@ -181,8 +181,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     for user_id in users:
         try:
             result = ingest.fetch_user_log(args.endpoint, user_id, args.page_limit)
-        except (ingest.UserNotFound, ingest.MalformedPage, ingest.EndpointUnreachable,
-                ingest.AllLinesRejected, MixedUsers, OSError) as exc:
+        except (ingest.UserNotFound, ingest.MalformedPage, ingest.AllLinesRejected, MixedUsers,
+                OSError) as exc:  # an EndpointUnreachable is an OSError
             _warn(f"fetch failed for {user_id!r}: {exc}")
             continue
         if result.rejects:  # a Path renders the name feed/u1.jsonl for ./feed/
@@ -260,8 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ingest.AllLinesRejected, ingest.MissingHeader) as exc:
         _warn(f"input rejected: {exc}")
         return EXIT_REJECTED
-    except (ingest.EndpointUnreachable, ingest.UserNotFound, ingest.MalformedPage,
-            OSError) as exc:
+    except OSError as exc:  # ingest.EndpointUnreachable too
         _warn(f"io error: {exc}")
         return EXIT_IO
 

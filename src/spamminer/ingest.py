@@ -165,6 +165,10 @@ def iter_jsonl(
 
 CSV_REQUIRED_COLUMNS = ("user_id", "video_id", "published_at", "text", "has_spam_hint")
 _FLAG_VALUES = {"true": True, "1": True, "false": False, "0": False, "": False}
+# What the surrogateescape error handler makes of bytes that are not UTF-8.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+# The largest limit csv.field_size_limit takes where a C long has 32 bits.
+_CSV_FIELD_SIZE_LIMIT = 2**31 - 1
 
 
 def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
@@ -186,15 +190,22 @@ def iter_csv(
 ) -> Iterator[CommentRecord]:
     """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl (ids too).
 
-    MissingHeader is raised when the first record is asked for.
+    A bytes line is decoded with surrogateescape, which makes each byte that
+    is not UTF-8 one of U+DC80-U+DCFF and keeps the CSV reader in its place;
+    a str line is read as it is. A header holding one of those characters is
+    MissingHeader, and a row holding one is a ParseError reject at its first
+    line. Cells of any size are read: this raises the csv module's field size
+    limit, which is process-wide. MissingHeader is raised when the first
+    record is asked for.
     """
-    not_utf8: list[int] = []
-    reader = csv.reader(_csv_lines(stream, not_utf8))
+    csv.field_size_limit(_CSV_FIELD_SIZE_LIMIT)
+    reader = csv.reader(line.decode("utf-8", "surrogateescape") if isinstance(line, bytes)
+                        else line for line in _without_bom(stream))
     try:
         header = next(reader)
     except StopIteration:
         return
-    if not_utf8:
+    if _NOT_UTF8.search("".join(header)):
         raise MissingHeader("header line is not UTF-8")
     columns = [name.strip() for name in header]
     missing = [name for name in CSV_REQUIRED_COLUMNS if name not in columns]
@@ -217,13 +228,12 @@ def iter_csv(
         except csv.Error:
             report.reject(line_no, "ParseError")
             continue
-        if not "".join(row).strip():  # no cells, or only blank ones
+        joined = "".join(row)
+        if not joined.strip():  # no cells, or only blank ones
             continue
         try:
-            # The reader reads no line past the row, so a non-UTF-8 line
-            # numbered line_no or later lies inside it.
-            if not_utf8 and not_utf8[-1] >= line_no:
-                raise ParseError(f"line {not_utf8[-1]} is not UTF-8")
+            if not joined.isascii() and _NOT_UTF8.search(joined):
+                raise ParseError("row is not UTF-8")
             if len(row) < width:
                 raise ParseError(f"row has {len(row)} fields, expected {width}")
             hint = _FLAG_VALUES.get(row[hint_col].strip().lower())
@@ -244,23 +254,6 @@ def iter_csv(
             yield rec
     if report.rejected and not report.accepted:
         raise AllLinesRejected(report)
-
-
-def _csv_lines(stream: IO | Iterable, not_utf8: list[int]) -> Iterator[str]:
-    """Yield each physical line as text; append the number of each non-UTF-8 line to not_utf8.
-
-    Such a line is yielded with replacement characters, so the CSV reader
-    keeps its place, and parse_csv rejects the row that spans it. One leading
-    byte order mark is dropped here, so a quoted header cell still parses.
-    """
-    for line_no, line in enumerate(_without_bom(stream), start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                not_utf8.append(line_no)
-                line = line.decode("utf-8", "replace")
-        yield line
 
 
 def group_by_user(records: Iterable[CommentRecord]) -> list[UserActivityLog]:
@@ -293,9 +286,9 @@ def _decode_page(
     body: bytes, page_token: str | None, ids: dict[str, str] | None = None
 ) -> tuple[tuple[CommentRecord, ...], str | None]:
     """(comments, next_page_token) of one feed page body; ids as for decode_record."""
-    try:
-        obj = json.loads(body)
-    except (ValueError, RecursionError) as exc:  # not JSON, not Unicode, or nested too deep
+    try:  # UTF-8 only, with one optional byte order mark: json.loads would sniff UTF-16 and -32
+        obj = json.loads(body.decode("utf-8-sig"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise MalformedPage(f"invalid JSON: {exc}", page_token) from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("comments"), list):
         raise MalformedPage("body is not a feed page object", page_token)
@@ -402,16 +395,13 @@ def fetch_user_log(
     records: list[CommentRecord] = []
     ids: dict[str, str] = {}  # one string per distinct id across the pages
     token: str | None = None
-    truncated = False
-    for page_no in range(page_limit):
+    for _ in range(page_limit):
         comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s,
                                     ids)
         records.extend(comments)
         if token is None:
             break
-        if page_no == page_limit - 1:
-            truncated = True
-    return FetchResult(log=build_log(user_id, records), truncated=truncated)
+    return FetchResult(log=build_log(user_id, records), truncated=token is not None)
 
 
 # --- on-disk cache ---------------------------------------------------------

@@ -3,12 +3,13 @@
 The pair oracles here enumerate every unordered pair explicitly. They must
 stay independent of the library's counting-formula implementations: they are
 the ground truth those implementations are checked against. The reference
-codecs (JSON objects, RFC3339, the JSONL reader) are the earlier, plainer
+codecs (JSON objects, RFC3339, the JSONL and CSV readers) are the earlier, plainer
 implementations, against which the fast paths are checked.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import random
@@ -28,7 +29,9 @@ from spamminer.model import (
     Verdict,
     build_log,
     decode_record,
+    parse_rfc3339,
 )
+from spamminer.ingest import CSV_REQUIRED_COLUMNS, MissingHeader
 
 
 def make_record(user="u1", video="v1", ts=0, text="", hint=False, cid=None) -> CommentRecord:
@@ -155,6 +158,83 @@ def reference_parse_jsonl(lines) -> tuple[list[CommentRecord], list[tuple[int, s
             if not line.strip():
                 continue
             rec = decode_record(decode(line))
+        except ValidationError as exc:
+            rejects.append((line_no, type(exc).__name__))
+        except ValueError:
+            rejects.append((line_no, "ParseError"))
+        else:
+            records.append(rec)
+    return records, rejects
+
+
+# --- reference CSV reader ----------------------------------------------------
+
+def reference_parse_csv(lines) -> tuple[list[CommentRecord], list[tuple[int, str]]]:
+    """(records, rejects) of CSV lines, with each line that is not UTF-8 found by its number.
+
+    The earlier reader, kept as an oracle for ingest.iter_csv. A bytes line
+    that is not UTF-8 is decoded with replacement characters and its number
+    kept; a header read by then is MissingHeader, and a row is a ParseError
+    reject when the last such number is at or after the row's first line,
+    since the CSV reader reads no line past the row. Raises MissingHeader as
+    iter_csv does, but returns no records, rather than raising
+    AllLinesRejected, when no row parsed.
+    """
+    not_utf8: list[int] = []
+
+    def text_lines():
+        for line_no, line in enumerate(lines, start=1):
+            if isinstance(line, bytes):
+                if line_no == 1:
+                    line = line.removeprefix("\ufeff".encode("utf-8"))
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    not_utf8.append(line_no)
+                    line = line.decode("utf-8", "replace")
+            elif line_no == 1:
+                line = line.removeprefix("\ufeff")
+            yield line
+
+    reader = csv.reader(text_lines())
+    header = next(reader, None)
+    if header is None:
+        return [], []
+    if not_utf8:
+        raise MissingHeader("header line is not UTF-8")
+    columns = [name.strip() for name in header]
+    for name in CSV_REQUIRED_COLUMNS:
+        if name not in columns:
+            raise MissingHeader(f"missing column: {name!r}")
+    for name in (*CSV_REQUIRED_COLUMNS, "comment_id"):
+        if columns.count(name) > 1:
+            raise MissingHeader(f"duplicate column: {name!r}")
+    flags = {"true": True, "1": True, "false": False, "0": False, "": False}
+    records: list[CommentRecord] = []
+    rejects: list[tuple[int, str]] = []
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            rejects.append((line_no, "ParseError"))
+            continue
+        if not "".join(row).strip():
+            continue
+        try:
+            if not_utf8 and not_utf8[-1] >= line_no:
+                raise ValueError(f"line {not_utf8[-1]} is not UTF-8")
+            if len(row) < len(columns):
+                raise ValueError("short row")
+            cell = dict(zip(columns, row))  # each column read is named once
+            hint = flags.get(cell["has_spam_hint"].strip().lower())
+            if hint is None:
+                raise ValueError("bad has_spam_hint")
+            rec = CommentRecord(cell["user_id"], cell["video_id"],
+                                parse_rfc3339(cell["published_at"].strip()), cell["text"], hint,
+                                cell.get("comment_id"))
         except ValidationError as exc:
             rejects.append((line_no, type(exc).__name__))
         except ValueError:

@@ -171,3 +171,11 @@ class TestScoreCorpus:
         corpus.write_bytes(content)
         with pytest.raises(error):
             score_corpus(corpus, format=fmt)  # no verdict is drawn
+
+    @pytest.mark.parametrize("keyword", ["format", "normalization"])
+    def test_unknown_keyword_value_is_raised_before_the_file_is_opened(self, tmp_path, keyword):
+        one = tmp_path / "one.jsonl"  # no user has two comments, so no text is normalized
+        one.write_text(record_to_json(make_record()) + "\n", encoding="utf-8")
+        for path in (one, tmp_path / "missing.jsonl"):
+            with pytest.raises(ValueError, match=f"unknown {keyword}.*'bogus'"):
+                score_corpus(path, **{keyword: "bogus"})

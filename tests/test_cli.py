@@ -307,6 +307,17 @@ class TestScore:
         first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
         assert first["features"]["n_comments"] == 8
 
+    def test_empty_csv_scores_no_users(self, tmp_path, capsys):
+        csv_path = tmp_path / "corpus.csv"
+        csv_path.write_bytes(b"")
+        out = tmp_path / "verdicts.jsonl"
+        code = main(["score", "--input", str(csv_path), "--format", "csv",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == b""
+        assert capsys.readouterr().err == (
+            "spamminer: scored 0 users: {'spammer': 0, 'legit': 0, 'insufficient': 0}\n")
+
     def test_csv_column_named_twice_is_rejected_input(self, tmp_path, capsys):
         csv_path = tmp_path / "corpus.csv"
         csv_path.write_text(CSV_HEADER.rstrip("\n") + ",user_id\n"
@@ -637,6 +648,24 @@ class TestFetch:
         err = capsys.readouterr().err
         assert "fetch failed for 'bob': initial page: bad record: text must be a string\n" in err
         assert "fetched 1/2 users" in err
+
+    def test_page_limit_keeps_the_partial_log(self, tmp_path, capsys):
+        first_page = feed_page_records("u", 0, 3)
+        feed = MockFeed(users={"u": MockUser(pages=[first_page, feed_page_records("u", 3, 2)])})
+        users = tmp_path / "users.txt"
+        users.write_text("u\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(cache_dir), "--page-limit", "1"])
+        assert code == EXIT_OK
+        assert feed.requests == [("u", None)]
+        cached = ingest.cache_get(cache_dir, "u")
+        assert sorted(rec.comment_id for rec in cached.records) == [
+            obj["comment_id"] for obj in first_page]
+        err = capsys.readouterr().err
+        assert "spamminer: log for 'u' truncated at 1 pages\n" in err
+        assert "fetched 1/1 users" in err
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_page_limit_below_one_is_usage_error(self, tmp_path, capsys, limit):

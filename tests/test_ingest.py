@@ -25,6 +25,7 @@ from spamminer.ingest import (
     cache_put,
     fetch_user_log,
     group_by_user,
+    iter_csv,
     iter_jsonl,
     parse_csv,
     parse_jsonl,
@@ -39,6 +40,7 @@ from helpers import (
     feed_page_records,
     make_record,
     random_log,
+    reference_parse_csv,
     reference_parse_jsonl,
 )
 
@@ -396,6 +398,61 @@ class TestParseCsv:
         assert report.accepted == 1
         assert records[0].text == "x"
 
+    @pytest.mark.parametrize("column", [4, 6])  # text, which is read, and note, which is not
+    def test_not_utf8_escape_in_text_mode_rejected(self, column):
+        """U+DC80-U+DCFF, what surrogateescape makes of bytes that are not UTF-8, is rejected
+        in a str row as in a bytes row, in any column; another lone surrogate, U+D800, is not."""
+        def row(k, char=""):
+            cells = f"u1,c{k},v1,2021-01-01T00:00:0{k}Z,x,false,n".split(",")
+            cells[column] += char
+            return ",".join(cells)
+
+        lines = [CSV_HEADER + ",note", row(1), row(2, "\udc80"), row(3, "\udcff"),
+                 row(4, "\ud800")]
+        records, report = parse_csv(io.StringIO("\n".join(lines) + "\n"))
+        lone = [(5, "LoneSurrogate")] if column == 4 else []
+        assert [rec.comment_id for rec in records] == ["c1"] + ([] if lone else ["c4"])
+        assert report.rejects == [(3, "ParseError"), (4, "ParseError"), *lone]
+        with pytest.raises(MissingHeader, match="header line is not UTF-8"):
+            parse_csv(io.StringIO(lines[0] + "\udc80\n" + row(1) + "\n"))
+
+    def test_short_row_rejected(self):
+        stream = _csv([
+            CSV_HEADER,
+            "u1,c1,v1,2021-01-01T00:00:00Z,x",
+            "u1,c2,v1,2021-01-01T00:00:00Z,x,false",
+        ])
+        records, report = parse_csv(stream)
+        assert [rec.comment_id for rec in records] == ["c2"]
+        assert report.rejects == [(2, "ParseError")]
+
+    def test_csv_error_rejected_at_its_line(self):
+        # A bare \r in an unquoted cell is an error of the CSV reader itself.
+        stream = io.BytesIO((CSV_HEADER + "\nu1,c1,v1,2021-01-01T00:00:00Z,x\ry,false\n"
+                             "u1,c2,v1,2021-01-01T00:00:00Z,x,false\n").encode("utf-8"))
+        records, report = parse_csv(stream)
+        assert [rec.comment_id for rec in records] == ["c2"]
+        assert report.rejects == [(2, "ParseError")]
+
+    def test_empty_input(self):
+        assert parse_csv(io.BytesIO(b"")) == ([], IngestReport())
+
+    def test_cell_larger_than_the_default_field_limit(self):
+        """A quoted cell over csv's default 131,072 characters is one field, however large."""
+        inner_row = "u9,c9,v9,2021-01-01T00:00:00Z,injected,true"
+        text = "x" * 140_000 + "\n" + inner_row + "\n"
+        text += "y" * (200_000 - len(text))
+        stream = io.BytesIO("\n".join([
+            CSV_HEADER,
+            f'u1,c1,v1,2021-01-01T00:00:00Z,"{text}",false',
+            "u2,c2,v2,2021-01-01T00:00:00Z,x,false",
+            "u3,c3,v3,2021-01-01T00:00:00Z,x,false",
+        ]).encode("utf-8") + b"\n")
+        records, report = parse_csv(stream)
+        assert [rec.user_id for rec in records] == ["u1", "u2", "u3"]
+        assert records[0].text == text
+        assert report.rejects == []
+
     @pytest.mark.parametrize("user_id", ["user-1", " user-1 "])
     def test_records_share_id_strings(self, user_id):
         stream = _csv([
@@ -425,6 +482,53 @@ class TestCsvBlankRows:
         records, report = parse_csv(io.BytesIO(buf.getvalue().encode("utf-8")))
         assert len(records) == report.accepted == rows.count(None)
         assert report.rejected == 0
+
+
+# Byte pieces that matter to the CSV reader or to UTF-8: delimiters, quotes and line ends;
+# a byte that never starts a character and one cut short; a two-byte character; an encoded
+# surrogate; a byte order mark; NUL; and cells that parse.
+csv_pieces = st.lists(st.sampled_from([
+    b",", b'"', b"\r", b"\n", b"\r\n", b"\xff", b"\xc3", b"\xc3\xa9", b"\xed\xa0\x80",
+    b"\xef\xbb\xbf", b"\x00", b" ", b"x", b"u1", b"true", b"2021-01-01T00:00:00Z",
+]), max_size=10).map(b"".join)
+csv_byte_headers = st.one_of(
+    st.sampled_from([CSV_HEADER, QUOTED_CSV_HEADER, "\ufeff" + CSV_HEADER]).map(str.encode),
+    csv_pieces.map(lambda extra: CSV_HEADER.encode() + b"," + extra),
+    csv_pieces,
+)
+csv_byte_rows = st.one_of(
+    st.just(b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
+    csv_pieces.map(lambda text: b'u2,c2,v2,2021-01-01T00:00:00Z,"' + text + b'",true\n'),
+    csv_pieces.map(lambda text: b"u3,c3,v3,2021-01-01T00:00:00Z," + text + b",false\n"),
+    csv_pieces,
+)
+
+
+def _csv_outcome(read, lines):
+    """(records, rejects) of read over lines, or the type and message of what it raised."""
+    try:
+        return read(lines)
+    except (MissingHeader, csv.Error) as exc:
+        return type(exc), str(exc)
+
+
+def _iter_csv_whole(lines):
+    report = IngestReport()
+    try:
+        records = list(iter_csv(lines, report))
+    except AllLinesRejected:
+        records = []
+    return records, report.rejects
+
+
+class TestCsvMatchesReference:
+    """iter_csv, which lets the codec mark bytes that are not UTF-8, reads bytes as the
+    earlier reader did, which kept the number of each line that was not."""
+
+    @given(csv_byte_headers, st.lists(csv_byte_rows, max_size=6))
+    def test_same_records_rejects_and_errors(self, header, rows):
+        lines = io.BytesIO(header + b"\n" + b"".join(rows)).readlines()
+        assert _csv_outcome(_iter_csv_whole, lines) == _csv_outcome(reference_parse_csv, lines)
 
 
 class TestGroupByUser:
@@ -584,10 +688,37 @@ class TestDecodePage:
 
     @pytest.mark.parametrize("text", [b"\\ud800", b"\xed\xa0\x80"])
     def test_lone_surrogate_is_malformed(self, text):
-        """A surrogate spelled as a JSON escape, or encoded in the UTF-8 bytes."""
+        """A surrogate spelled as a JSON escape is a bad record; encoded in the bytes, not UTF-8."""
         comment = _with_text(text.decode("utf-8", "surrogatepass")).encode("utf-8", "surrogatepass")
-        with pytest.raises(MalformedPage, match="bad record: lone surrogate"):
+        expected = "bad record: lone surrogate" if text.isascii() else "invalid JSON"
+        with pytest.raises(MalformedPage, match=expected):
             _decode_page(b'{"comments": [' + comment + b"]}", None)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-16-be", "utf-32",
+                                          "utf-32-le"])
+    def test_utf16_and_utf32_bodies_are_malformed(self, encoding):
+        body = json.dumps({"comments": [json.loads(VALID_LINE)]}).encode(encoding)
+        with pytest.raises(MalformedPage, match="invalid JSON"):
+            _decode_page(body, None)
+
+    def test_one_byte_order_mark_allowed(self):
+        body = json.dumps({"comments": [json.loads(VALID_LINE)]}).encode("utf-8")
+        comments, token = _decode_page(b"\xef\xbb\xbf" + body, None)
+        assert [rec.user_id for rec in comments] == ["u1"]
+        assert token is None
+        with pytest.raises(MalformedPage, match="invalid JSON"):
+            _decode_page(b"\xef\xbb\xbf" * 2 + body, None)
+
+    @pytest.mark.parametrize("body", [b"[]", b'"page"', b"{}", b'{"comments": {}}'])
+    def test_body_that_is_not_a_page_object_is_malformed(self, body):
+        with pytest.raises(MalformedPage, match="page token 'p1': body is not a feed page object"):
+            _decode_page(body, "p1")
+
+    @pytest.mark.parametrize("token", ["5", "[]", '{"t": "p2"}'])
+    def test_next_page_token_that_is_not_a_string_is_malformed(self, token):
+        body = b'{"comments": [], "next_page_token": ' + token.encode() + b"}"
+        with pytest.raises(MalformedPage, match="next_page_token must be a string"):
+            _decode_page(body, None)
 
 
 class TestFetchHttp:
