@@ -36,7 +36,6 @@ from .model import (
     CommentRecord,
     UserActivityLog,
     ValidationError,
-    _Value,
     build_log,
     decode_record,
     parse_rfc3339,
@@ -50,7 +49,7 @@ class ParseError(ValueError):
 
 
 class MissingHeader(ValueError):
-    """A CSV header lacks a required column, names a column twice, or is not UTF-8."""
+    """A CSV header lacks a required column, names a column twice, or is not UTF-8 or CSV."""
 
 
 class AllLinesRejected(ValueError):
@@ -78,12 +77,13 @@ class UserNotFound(LookupError):
     """The endpoint has no log for the requested user."""
 
 
-class IngestReport(_Value):
+class IngestReport:
     """Tally of accepted vs rejected input lines.
 
     rejects holds (line number, error name) for every rejected line, in input
     order; rejected is its length. accepted + rejected is the number of lines
-    attempted (blank lines and the CSV header are not). Mutable, so unhashable.
+    attempted (blank lines and the CSV header are not). Mutable, so unhashable;
+    equal by value to another IngestReport only.
     """
 
     __slots__ = ("accepted", "rejects")
@@ -91,6 +91,17 @@ class IngestReport(_Value):
     def __init__(self, accepted: int = 0, rejects: list[tuple[int, str]] | None = None) -> None:
         self.accepted = accepted
         self.rejects = [] if rejects is None else rejects
+
+    def __eq__(self, other):
+        if type(other) is not IngestReport:
+            return NotImplemented
+        return (self.accepted, self.rejects) == (other.accepted, other.rejects)
+
+    def __repr__(self) -> str:
+        return f"IngestReport(accepted={self.accepted!r}, rejects={self.rejects!r})"
+
+    def __reduce__(self):
+        return IngestReport, (self.accepted, self.rejects)
 
     @property
     def rejected(self) -> int:
@@ -178,7 +189,8 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     published_at, text, and has_spam_hint (comment_id is optional); quoted
     fields may contain commas and newlines. One leading byte order mark is
     dropped. Raises MissingHeader when a required column is absent, a column
-    it reads is named twice, or the header is not UTF-8. Reject line numbers
+    it reads is named twice, or the header is not UTF-8 or not CSV (the csv
+    module cannot read it, say for a bare carriage return). Reject line numbers
     refer to physical lines in the file, as with JSONL.
     """
     report = IngestReport()
@@ -205,6 +217,8 @@ def iter_csv(
         header = next(reader)
     except StopIteration:
         return
+    except csv.Error as exc:
+        raise MissingHeader(f"header line is not CSV: {exc}") from exc
     if _NOT_UTF8.search("".join(header)):
         raise MissingHeader("header line is not UTF-8")
     columns = [name.strip() for name in header]

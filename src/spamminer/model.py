@@ -2,7 +2,9 @@
 
 Everything downstream (ingest, features, classifier, report) works on the
 types defined here. All types are immutable value objects: once constructed
-they can be shared freely across threads or workers.
+they can be shared freely across threads or workers. Each validated type
+(CommentRecord, UserActivityLog, FeatureVector, RuleConfig, Verdict) is a
+named tuple on _Value whose __new__ checks every field.
 
 The canonical wire format for a comment record is one JSON object per line:
 
@@ -22,6 +24,7 @@ import operator
 import re
 import sys
 import time
+from collections import namedtuple
 from datetime import datetime
 from enum import Enum
 from json.encoder import encode_basestring as _quote
@@ -56,18 +59,26 @@ class ConfigError(ValueError):
     """A rule configuration file is malformed or carries unknown keys."""
 
 
-class _CommentRecordFields(NamedTuple):
-    """The fields of CommentRecord, in order; build records through CommentRecord."""
+class _Value:
+    """Base of the validated value types, each a named tuple whose __new__ checks every field.
 
-    user_id: str
-    video_id: str
-    timestamp_s: int
-    text: str = ""
-    has_spam_hint: bool = False
-    comment_id: str | None = None
+    A tuple underneath: immutable, hashable, equal by value (to a plain tuple
+    of its fields too), and validated once, in __new__, however it is built:
+    _replace goes through _make, and copy and pickle call __new__ again.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):  # every pickle protocol, 0 and 1 too, calls __new__
+        return type(self), tuple(self)
 
 
-class CommentRecord(_CommentRecordFields):
+class CommentRecord(_Value, namedtuple(
+        "CommentRecord", "user_id video_id timestamp_s text has_spam_hint comment_id")):
     """One comment event: who commented on what, when, and what they wrote.
 
     user_id and video_id are trimmed on construction and must be non-empty.
@@ -82,9 +93,6 @@ class CommentRecord(_CommentRecordFields):
     No string field may hold a lone UTF-16 surrogate (LoneSurrogate): JSON's
     \\u escapes can spell one, but no UTF-8 text can carry it, so such a
     record could never be written back.
-
-    A tuple underneath: immutable, hashable, equal by value, and validated
-    once, here, however it is built (_replace goes through _make).
     """
 
     __slots__ = ()
@@ -131,65 +139,16 @@ class CommentRecord(_CommentRecordFields):
                         raise LoneSurrogate(f"lone surrogate in {value!r}") from None
         return tuple.__new__(cls, (user_id, video_id, timestamp_s, text, has_spam_hint, comment_id))
 
-    @classmethod
-    def _make(cls, iterable) -> CommentRecord:
-        return cls(*iterable)
 
-
-class _Value:
-    """Base of the value types: a slot per field, equal by value within one type only.
-
-    repr is Type(field=value, ...); copy and pickle rebuild an object through
-    __init__, so its checks run again.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-_set_field = object.__setattr__
-
-
-class _Frozen(_Value):
-    """A hashable _Value: __init__ sets each field once, with _set_field; none can change."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class UserActivityLog(_Frozen):
+class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     """One user's recent comment records, ascending by timestamp.
 
     Construct via build_log, which sorts, deduplicates, and checks ownership.
     """
 
-    __slots__ = ("user_id", "records")
+    __slots__ = ()
 
-    def __init__(self, user_id: str, records: tuple[CommentRecord, ...]) -> None:
-        _set_field(self, "user_id", user_id)
-        _set_field(self, "records", records)
+    def __new__(cls, user_id: str, records: tuple[CommentRecord, ...]) -> UserActivityLog:
         seen_ids: set[str] = set()
         times: list[int] = []
         for uid, _, ts, _, _, cid in records:
@@ -202,6 +161,7 @@ class UserActivityLog(_Frozen):
             times.append(ts)
         if times != sorted(times):
             raise ValueError("records are not sorted by timestamp_s")
+        return tuple.__new__(cls, (user_id, records))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -227,7 +187,8 @@ def build_log(user_id: str, records: list[CommentRecord]) -> UserActivityLog:
     return UserActivityLog(user_id=user_id, records=tuple(deduped))
 
 
-class FeatureVector(_Frozen):
+class FeatureVector(_Value, namedtuple(
+        "FeatureVector", "user_id n_comments atdc_s pchf_pct crr vidovp crav")):
     """Per-user values of the usage-based spam indicators.
 
     atdc_s    mean absolute time difference over all unordered comment pairs,
@@ -240,31 +201,24 @@ class FeatureVector(_Frozen):
               video, 0..1. Always <= min(crr, vidovp).
     """
 
-    __slots__ = ("user_id", "n_comments", "atdc_s", "pchf_pct", "crr", "vidovp", "crav")
+    __slots__ = ()
 
-    def __init__(self, user_id: str, n_comments: int, atdc_s: float | None, pchf_pct: float,
-                 crr: float, vidovp: float, crav: float) -> None:
-        _set_field(self, "user_id", user_id)
-        _set_field(self, "n_comments", n_comments)
-        _set_field(self, "atdc_s", atdc_s)
-        _set_field(self, "pchf_pct", pchf_pct)
-        _set_field(self, "crr", crr)
-        _set_field(self, "vidovp", vidovp)
-        _set_field(self, "crav", crav)
-        if self.n_comments < 0:
+    def __new__(cls, user_id: str, n_comments: int, atdc_s: float | None, pchf_pct: float,
+                crr: float, vidovp: float, crav: float) -> FeatureVector:
+        if n_comments < 0:
             raise ValueError("n_comments is negative")
-        if (self.atdc_s is not None) != (self.n_comments >= 2):
+        if (atdc_s is not None) != (n_comments >= 2):
             raise ValueError("atdc_s must be present exactly when n_comments >= 2")
-        if self.atdc_s is not None and not 0 <= self.atdc_s < math.inf:
-            raise ValueError(f"atdc_s must be finite and non-negative: {self.atdc_s}")
-        if not 0.0 <= self.pchf_pct <= 100.0:
-            raise ValueError(f"pchf_pct out of range: {self.pchf_pct}")
-        for name in ("crr", "vidovp", "crav"):
-            value = getattr(self, name)
+        if atdc_s is not None and not 0 <= atdc_s < math.inf:
+            raise ValueError(f"atdc_s must be finite and non-negative: {atdc_s}")
+        if not 0.0 <= pchf_pct <= 100.0:
+            raise ValueError(f"pchf_pct out of range: {pchf_pct}")
+        for name, value in (("crr", crr), ("vidovp", vidovp), ("crav", crav)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of range: {value}")
-        if self.crav > self.crr or self.crav > self.vidovp:
+        if crav > crr or crav > vidovp:
             raise ValueError("crav exceeds crr or vidovp")
+        return tuple.__new__(cls, (user_id, n_comments, atdc_s, pchf_pct, crr, vidovp, crav))
 
 
 class Label(str, Enum):
@@ -325,7 +279,8 @@ def _check_number(name: str, value, error: type[ConfigError] = ConfigError):
     return value
 
 
-class RuleConfig(_Frozen):
+class RuleConfig(_Value, namedtuple(
+        "RuleConfig", "min_comments pchf_gt atdc_lt_s comovp_gt vidovp_gt")):
     """Thresholds for the spammer rule (the OR of CLAUSES).
 
     The rule applies only to users with strictly more than min_comments
@@ -335,10 +290,10 @@ class RuleConfig(_Frozen):
     as a float (a bool is neither); types are checked first, then ranges.
     """
 
-    __slots__ = ("min_comments", "pchf_gt", "atdc_lt_s", "comovp_gt", "vidovp_gt")
+    __slots__ = ()
 
-    def __init__(self, min_comments: int = 5, pchf_gt: float = 70.0, atdc_lt_s: float = 150.0,
-                 comovp_gt: float = 0.60, vidovp_gt: float = 0.60) -> None:
+    def __new__(cls, min_comments: int = 5, pchf_gt: float = 70.0, atdc_lt_s: float = 150.0,
+                comovp_gt: float = 0.60, vidovp_gt: float = 0.60) -> RuleConfig:
         if isinstance(min_comments, bool) or not isinstance(min_comments, int):
             raise ConfigError("min_comments must be an integer")
         thresholds = (pchf_gt, atdc_lt_s, comovp_gt, vidovp_gt)  # CLAUSES order
@@ -346,32 +301,28 @@ class RuleConfig(_Frozen):
             _check_number(clause.threshold, value)
         if min_comments < 1:
             raise ConfigError(f"min_comments must be positive: {min_comments}")
-        _set_field(self, "min_comments", min_comments)
         for clause, value in zip(CLAUSES, thresholds):
             if not -sys.float_info.max <= value <= sys.float_info.max:  # or an int no float holds
                 raise ConfigError(f"{clause.threshold} must be finite: {value}")
-            _set_field(self, clause.threshold, float(value))
-        if not 0.0 <= self.pchf_gt <= 100.0:
-            raise ConfigError(f"pchf_gt out of range [0, 100]: {self.pchf_gt}")
-        for name in ("comovp_gt", "vidovp_gt"):
-            value = getattr(self, name)
+        pchf_gt, atdc_lt_s, comovp_gt, vidovp_gt = map(float, thresholds)
+        if not 0.0 <= pchf_gt <= 100.0:
+            raise ConfigError(f"pchf_gt out of range [0, 100]: {pchf_gt}")
+        for name, value in (("comovp_gt", comovp_gt), ("vidovp_gt", vidovp_gt)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} out of range [0, 1]: {value}")
+        return tuple.__new__(cls, (min_comments, pchf_gt, atdc_lt_s, comovp_gt, vidovp_gt))
 
 
-class Verdict(_Frozen):
+class Verdict(_Value, namedtuple("Verdict", "user_id label triggered features")):
     """Classification of one user, with the indicators that fired; repr omits the features."""
 
-    __slots__ = ("user_id", "label", "triggered", "features")
+    __slots__ = ()
 
-    def __init__(self, user_id: str, label: Label, triggered: frozenset[Indicator],
-                 features: FeatureVector) -> None:
-        _set_field(self, "user_id", user_id)
-        _set_field(self, "label", label)
-        _set_field(self, "triggered", triggered)
-        _set_field(self, "features", features)
+    def __new__(cls, user_id: str, label: Label, triggered: frozenset[Indicator],
+                features: FeatureVector) -> Verdict:
         if (label is Label.SPAMMER) != bool(triggered):
             raise ValueError("label spammer iff triggered is non-empty")
+        return tuple.__new__(cls, (user_id, label, triggered, features))
 
     def __repr__(self) -> str:
         return (f"Verdict(user_id={self.user_id!r}, label={self.label!r}, "
@@ -506,7 +457,7 @@ def rule_config_from_obj(obj: dict) -> RuleConfig:
     """
     if not isinstance(obj, dict):
         raise ConfigError("rule config must be a JSON object")
-    unknown = sorted(set(obj) - set(RuleConfig.__slots__) - {"combine"})
+    unknown = sorted(set(obj) - set(RuleConfig._fields) - {"combine"})
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
     combine = obj.get("combine", "or")

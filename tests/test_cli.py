@@ -49,10 +49,13 @@ def corpus_path(tmp_path):
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
-# Inputs of which nothing parses: garbage-only JSONL, and CSV whose header is not UTF-8.
+# Inputs of which nothing parses: garbage-only JSONL, CSV whose header is not UTF-8,
+# and CSV whose header the csv module cannot read (a bare carriage return in a cell).
 REJECTED_INPUTS = [
     ("jsonl", b"not json\nstill not json\n"),
     ("csv", b"user_id,comment_id,video_id,published_at,text,has_spam_hint\xff\n"
+            b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
+    ("csv", b"user_id,comment_id\r,video_id,published_at,text,has_spam_hint\n"
             b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
 ]
 
@@ -172,6 +175,15 @@ class TestScore:
                      "--output", str(out)])
         assert code == EXIT_CONFIG
         assert "min_commentz" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_is_config_error(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_text("[]", encoding="utf-8")
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "verdicts.jsonl")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "spamminer: config error: rule config must be a JSON object\n")
 
     def test_non_utf8_config_is_config_error(self, corpus_path, tmp_path, capsys):
         cfg_path = tmp_path / "rule.json"

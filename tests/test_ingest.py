@@ -303,6 +303,15 @@ class TestParseCsv:
         with pytest.raises(MissingHeader, match="UTF-8"):
             parse_csv(stream)
 
+    def test_header_that_is_not_csv_rejected(self):
+        # The csv module cannot read a bare carriage return in an unquoted cell.
+        data = "user_id,comment_id\r,video_id,published_at,text,has_spam_hint\n" + (
+            "u1,c1,v1,2021-01-01T00:00:00Z,x,false\n")
+        for stream in (io.StringIO(data), io.BytesIO(data.encode("utf-8"))):
+            with pytest.raises(MissingHeader, match="^header line is not CSV: ") as info:
+                parse_csv(stream)
+            assert isinstance(info.value.__cause__, csv.Error)
+
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("false", False), ("1", True), ("0", False),
         ("TRUE", True), ("False", False),
@@ -508,8 +517,10 @@ def _csv_outcome(read, lines):
     """(records, rejects) of read over lines, or the type and message of what it raised."""
     try:
         return read(lines)
-    except (MissingHeader, csv.Error) as exc:
+    except MissingHeader as exc:
         return type(exc), str(exc)
+    except csv.Error as exc:  # only the reference lets one out, and only from its header
+        return MissingHeader, f"header line is not CSV: {exc}"
 
 
 def _iter_csv_whole(lines):
@@ -620,6 +631,29 @@ class TestCache:
             errno.ENOSPC, os.path.join(tmp_path, "u1.jsonl"), None)
         assert ".tmp-" in info.value.__cause__.filename
         assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_temp_file_removal_is_swallowed(self, tmp_path, monkeypatch):
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+        def unlink(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        monkeypatch.setattr(os, "unlink", unlink)
+        with pytest.raises(OSError) as info:
+            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+        assert (info.value.errno, info.value.filename) == (
+            errno.ENOSPC, os.path.join(tmp_path, "u1.jsonl"))
 
     def test_temp_file_error_names_the_directory(self, tmp_path):
         not_a_dir = tmp_path / "file"

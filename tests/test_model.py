@@ -483,6 +483,18 @@ class TestFeatureVectorInvariants:
         with pytest.raises(ValueError):
             FeatureVector("u1", 3, atdc_s, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_comments": -1, "atdc_s": None}, "n_comments is negative"),
+        ({"crr": 1.5}, "crr out of range: 1.5"),
+        ({"vidovp": -0.5}, "vidovp out of range: -0.5"),
+        ({"crav": float("nan")}, "crav out of range: nan"),
+    ], ids=["n_comments", "crr", "vidovp", "crav"])
+    def test_count_and_fractions_in_range(self, fields, message):
+        valid = {"user_id": "u1", "n_comments": 3, "atdc_s": 1.0, "pchf_pct": 0.0,
+                 "crr": 0.0, "vidovp": 0.0, "crav": 0.0}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FeatureVector(**{**valid, **fields})
+
 
 class TestRuleConfig:
     def test_defaults(self):

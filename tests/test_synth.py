@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +172,18 @@ class TestSpecValidation:
     def test_fraction_out_of_range(self):
         with pytest.raises(InvalidSpec, match="hint_fraction"):
             PersonaSpec(PersonaKind.FLAGGED, 1, hint_fraction=1.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"comments_per_user": (0, 3)}, "comments_per_user must be >= 1: (0, 3)"),
+        ({"gap_s": (-1, 5)}, "gap_s must be >= 0: (-1, 5)"),
+    ], ids=["comments_per_user", "gap_s"])
+    def test_range_below_its_minimum(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            PersonaSpec(PersonaKind.BOT, 1, **kwargs)
+
+    def test_from_obj_not_an_object(self):
+        with pytest.raises(InvalidSpec, match="^persona spec must be a JSON object$"):
+            persona_spec_from_obj(["bot", 1])
 
     def test_knob_applicability(self):
         with pytest.raises(InvalidSpec, match="video_count"):

@@ -1,20 +1,24 @@
 """The behaviour callers rely on in the value and result types.
 
 Construction (positional and keyword, with defaults), immutability, equality
-and hashing by value, repr, and copy and pickle round-trips, for the model's
-value types and the small result holders of ingest, classifier and report.
+and hashing by value, repr, copy and pickle round-trips, and _replace running
+the checks again, for the model's value types and the small result holders of
+ingest, classifier and report.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import struct
 
 import pytest
 
 from spamminer.classifier import BatchResult
 from spamminer.ingest import FetchResult, IngestReport
-from spamminer.model import FeatureVector, Indicator, Label, RuleConfig, UserActivityLog, Verdict
+from spamminer.model import (
+    ConfigError, FeatureVector, Indicator, Label, RuleConfig, UserActivityLog, Verdict,
+)
 from spamminer.report import FigureDataset
 
 from helpers import make_record
@@ -49,6 +53,16 @@ FIELDS = {_log: "user_id", _fv: "crr", _verdict: "label", RuleConfig: "pchf_gt",
           _batch: "verdicts", _fetch: "truncated", _dataset: "rows"}
 IDS = ["UserActivityLog", "FeatureVector", "Verdict", "RuleConfig",
        "BatchResult", "FetchResult", "FigureDataset"]
+# For each maker, a field change that gives a valid value, and one its checks refuse (or None).
+REPLACEMENTS = {
+    _log: ({"records": ()}, {"records": (make_record(user="u2"),)}),
+    _fv: ({"crr": 0.75}, {"crr": 1.5}),
+    _verdict: ({"triggered": frozenset(Indicator)}, {"label": Label.LEGIT}),
+    RuleConfig: ({"pchf_gt": 50.0}, {"pchf_gt": 101.0}),
+    _batch: ({"verdicts": ()}, None),
+    _fetch: ({"truncated": False}, None),
+    _dataset: ({"rows": ()}, None),
+}
 
 
 @pytest.mark.parametrize("make", FIELDS, ids=IDS)
@@ -56,6 +70,21 @@ class TestFrozenValue:
     def test_assignment_raises(self, make):
         with pytest.raises(AttributeError):
             setattr(make(), FIELDS[make], None)
+
+    def test_deletion_raises(self, make):
+        with pytest.raises(AttributeError):
+            delattr(make(), FIELDS[make])
+
+    def test_replace_runs_the_checks(self, make):
+        obj = make()
+        good, bad = REPLACEMENTS[make]
+        new = obj._replace(**good)
+        assert type(new) is type(obj)
+        assert new == type(obj)(**{**obj._asdict(), **good})
+        assert new != obj
+        if bad is not None:
+            with pytest.raises(ValueError):
+                obj._replace(**bad)
 
     def test_equal_and_hashed_by_value(self, make):
         a, b = make(), make()
@@ -111,6 +140,22 @@ class TestModelValues:
         assert repr(FeatureVector("u1", 1, None, 0.0, 0.0, 0.0, 0.0)) == (
             "FeatureVector(user_id='u1', n_comments=1, atdc_s=None, pchf_pct=0.0, "
             "crr=0.0, vidovp=0.0, crav=0.0)")
+
+    def test_pickle_at_every_protocol_runs_the_checks(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(RuleConfig(pchf_gt=50.0), protocol)
+            assert pickle.loads(data) == RuleConfig(pchf_gt=50.0)
+            # pchf_gt 50.0 becomes 150.0: as text in protocol 0, as a big-endian double after.
+            bad = data.replace(b"F50.0\n", b"F150.0\n").replace(
+                struct.pack(">d", 50.0), struct.pack(">d", 150.0))
+            assert bad != data
+            with pytest.raises(ConfigError, match="pchf_gt out of range"):
+                pickle.loads(bad)
+
+    def test_equal_to_a_plain_tuple_of_its_fields(self):
+        fv = _fv()
+        assert fv == ("u1", 6, 10.0, 80.0, 0.5, 0.25, 0.125)
+        assert tuple(RuleConfig()) == (5, 70.0, 150.0, 0.6, 0.6)
 
     def test_verdict_repr_hides_features(self):
         verdict = Verdict("u1", Label.LEGIT, frozenset(), _fv())
