@@ -49,14 +49,12 @@ def classify_batch(
 
 
 def score_corpus(
-    path: str | os.PathLike, *, format: str = "jsonl", config: RuleConfig = RuleConfig(),
-    normalization: str = features.MODE_CANONICAL,
+    path: str | os.PathLike, *, format: str = "jsonl", config: RuleConfig = RuleConfig()
 ) -> tuple[ingest.IngestReport, Iterator[Verdict]]:
     """Score the corpus file at path: (its IngestReport, its verdicts in user_id order).
 
-    format is "jsonl" or "csv", and normalization one of
-    features.NORMALIZATION_MODES; either, when unknown, is a ValueError raised
-    before the file is opened. The file is parsed, and AllLinesRejected or
+    format is "jsonl" or "csv"; any other is a ValueError raised before the
+    file is opened. The file is parsed, and AllLinesRejected or
     MissingHeader raised, before this returns; each verdict is classified as
     it is drawn. Each run of one user_id is scored as it ends, into one row
     of six numbers per user: the FeatureVector fields after user_id, with 0.0
@@ -67,8 +65,6 @@ def score_corpus(
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format!r}")
-    if normalization not in features.NORMALIZATION_MODES:
-        raise ValueError(f"unknown normalization mode: {normalization!r}")
     records_of = ingest.iter_jsonl if format == "jsonl" else ingest.iter_csv
     user_id_of = attrgetter("user_id")
     with open(path, "rb") as fh:
@@ -82,7 +78,7 @@ def score_corpus(
             for user_id, run in groupby(records, key=user_id_of):
                 if user_id in rows:  # the first repeat: this user's row is incomplete
                     break
-                values = features._feature_values(build_log(user_id, list(run)), normalization)
+                values = features._feature_values(build_log(user_id, list(run)))
                 rows[user_id] = len(rows)
                 table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
             else:  # every run read: no user_id came back

@@ -19,10 +19,11 @@ import argparse
 import errno
 import os
 import sys
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import classifier, features, ingest
+from . import classifier, ingest
 from .model import (
     CLAUSES,
     ConfigError,
@@ -79,13 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch = sub.add_parser("fetch", help="fetch user logs from a feed into a cache")
     synth_p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     rep = sub.add_parser("report", help="emit figure CSV/SVG and a summary")
+    for command, run in ((score, cmd_score), (fetch, cmd_fetch), (synth_p, cmd_synth),
+                         (rep, cmd_report)):
+        command.set_defaults(run=run)
 
     for command in (score, rep):  # the inputs of classifier.score_corpus
         command.add_argument("--input", required=True, help="corpus file (JSONL or CSV)")
         command.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
         command.add_argument("--config", help="rule config JSON (defaults when absent)")
-        command.add_argument("--normalization", choices=features.NORMALIZATION_MODES,
-                             default=features.MODE_CANONICAL)
 
     score.add_argument("--output", required=True, help="verdicts JSONL path")
     score.add_argument("--explain", action="store_true",
@@ -115,20 +117,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _score(args: argparse.Namespace) -> tuple[RuleConfig, Iterator[Verdict]]:
     """--config, and score_corpus' verdicts on --input, its rejects warned about first."""
     cfg = load_rule_config(args.config) if args.config else RuleConfig()
-    ingested, verdicts = classifier.score_corpus(args.input, format=args.format, config=cfg,
-                                                 normalization=args.normalization)
+    ingested, verdicts = classifier.score_corpus(args.input, format=args.format, config=cfg)
     _warn_rejects(args.input, ingested.rejects)
     if ingested.rejected:
         _warn(f"{args.input}: {ingested.accepted} accepted, {ingested.rejected} rejected")
     return cfg, verdicts
 
 
-def _same_file(path: str, other: str) -> bool:
+def _same_file(path: str | Path, other: str) -> bool:
     """Whether path exists and is other, directly or through a symlink or hard link."""
     try:
         return os.path.samefile(path, other)
     except (OSError, ValueError):  # either is missing or not a valid path
         return False
+
+
+def _refuse_overwrite(args: argparse.Namespace, written: Iterable[tuple[str, str | Path]]) -> None:
+    """Raise UsageError if a (name, path) the command writes is its --input, --config or --spec."""
+    for (name, path), flag in product(written, ("input", "config", "spec")):
+        source = getattr(args, flag, None)
+        if source and os.path.isfile(path) and _same_file(path, source):
+            raise UsageError(f"{name} is the --{flag} file: {path}")
 
 
 def _explain(verdict, cfg: RuleConfig) -> str:
@@ -144,8 +153,7 @@ def _explain(verdict, cfg: RuleConfig) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     # A missing --input is reported when score_corpus opens it.
-    if os.path.isfile(args.output) and _same_file(args.output, args.input):
-        raise UsageError(f"--output is the --input file: {args.output}")
+    _refuse_overwrite(args, [("--output", args.output)])
     cfg, verdicts = _score(args)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -208,6 +216,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth  # imported here: only synth needs it, so other commands start faster
 
+    _refuse_overwrite(args, [("--out", args.out),
+                             ("--out's truth file", synth.truth_path_for(args.out))])
     specs = synth.load_persona_specs(args.spec) if args.spec else synth.benchmark_specs()
     corpus = synth.generate(specs, args.seed)
     corpus_path, truth_path = synth.write_corpus(corpus, args.out)
@@ -226,31 +236,27 @@ def cmd_report(args: argparse.Namespace) -> int:
         unknown = [name for name in figure_ids if name not in report.FIGURE_COLUMNS]
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")
+    svg_ids = [i for i in figure_ids if args.svg and len(report.FIGURE_COLUMNS[i]) == 2]
+    written = [f"{i}.csv" for i in figure_ids] + [f"{i}.svg" for i in svg_ids] + ["summary.json"]
+    _refuse_overwrite(args, [("a file in --outdir", os.path.join(args.outdir, name))
+                             for name in written])
     cfg, verdicts = _score(args)
     verdicts = list(verdicts)
     fvs = [verdict.features for verdict in verdicts]
     for figure_id in figure_ids:
         ds = report.figure_dataset(fvs, figure_id, cfg)
         report.write_figure_csv(ds, args.outdir)
-        if args.svg and len(ds.columns) == 2:
+        if figure_id in svg_ids:
             report.write_figure_svg(ds, args.outdir)
     report.write_summary(report.summarize(verdicts), args.outdir)
     _warn(f"wrote {len(figure_ids)} figure dataset(s) and summary.json to {args.outdir}")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "score": cmd_score,
-    "fetch": cmd_fetch,
-    "synth": cmd_synth,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         _warn(f"usage error: {exc}")
         return EXIT_USAGE

@@ -9,9 +9,9 @@ the log:
   pchf    percentage of comments the community/moderators tagged with the
           spam-hint flag.
   crr     comment repetition and redundancy: the fraction of pairs whose
-          texts match exactly. High values mean the same message posted
-          again and again. The same number serves as the comment-overlap
-          (COMOVP) indicator in the classification rule.
+          normalized texts match exactly. High values mean the same message
+          posted again and again. The same number serves as the
+          comment-overlap (COMOVP) indicator in the classification rule.
   vidovp  video overlap: the fraction of pairs posted on *different*
           videos. Grows with the diversity of videos a user touches.
   crav    comment repeatability across videos: the fraction of pairs that
@@ -35,22 +35,13 @@ from operator import mul
 from .model import FeatureVector, UserActivityLog
 
 MODE_CANONICAL = "canonical"
-MODE_RAW_BYTES = "raw-bytes"
-NORMALIZATION_MODES = (MODE_CANONICAL, MODE_RAW_BYTES)
 
 
-def normalize_text(raw: str, mode: str = MODE_CANONICAL) -> str:
-    """Normalize comment text for exact-match comparison.
+def normalize_text(raw: str) -> str:
+    """Comment text as compared for exact match: NFC, trimmed, whitespace runs made one space.
 
-    canonical mode applies Unicode NFC, trims leading/trailing whitespace,
-    and collapses internal whitespace runs to a single space; matching stays
-    case-sensitive. raw-bytes mode is the identity, for strict byte-equality
-    experiments. Both modes are idempotent.
+    Matching stays case-sensitive, and normalizing twice changes nothing.
     """
-    if mode == MODE_RAW_BYTES:
-        return raw
-    if mode != MODE_CANONICAL:
-        raise ValueError(f"unknown normalization mode: {mode!r}")
     return " ".join(unicodedata.normalize("NFC", raw).split())
 
 
@@ -96,7 +87,7 @@ def pchf(log: UserActivityLog) -> float:
     return 100 * flagged / n
 
 
-def _pair_census(log: UserActivityLog, mode: str) -> tuple[float, float, float]:
+def _pair_census(log: UserActivityLog) -> tuple[float, float, float]:
     """(crr, vidovp, crav) from one count of the text, video and (text, video) classes.
 
     Each text is normalized once. vidovp is the complement of the same-video
@@ -105,7 +96,7 @@ def _pair_census(log: UserActivityLog, mode: str) -> tuple[float, float, float]:
     n = len(log.records)
     if n < 2:
         return 0.0, 0.0, 0.0
-    texts = [normalize_text(rec.text, mode) for rec in log.records]
+    texts = [normalize_text(rec.text) for rec in log.records]
     videos = [rec.video_id for rec in log.records]
     pairs = _pair_count(n)
     same_text = _same_class_pairs(texts)
@@ -119,31 +110,31 @@ def _pair_census(log: UserActivityLog, mode: str) -> tuple[float, float, float]:
     )
 
 
-def crr(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
+def crr(log: UserActivityLog) -> float:
     """Fraction of unordered pairs with exactly matching normalized text."""
-    return _pair_census(log, mode)[0]
+    return _pair_census(log)[0]
 
 
 def vidovp(log: UserActivityLog) -> float:
-    """Fraction of unordered pairs posted on different videos (0 when all share one).
-
-    Texts are not compared here, so they are left raw.
-    """
-    return _pair_census(log, MODE_RAW_BYTES)[1]
+    """Fraction of unordered pairs posted on different videos (0 when all share one)."""
+    return _pair_census(log)[1]
 
 
-def crav(log: UserActivityLog, mode: str = MODE_CANONICAL) -> float:
+def crav(log: UserActivityLog) -> float:
     """Fraction of pairs matching in text AND posted on different videos."""
-    return _pair_census(log, mode)[2]
+    return _pair_census(log)[2]
 
 
-def _feature_values(
-    log: UserActivityLog, mode: str
-) -> tuple[int, float | None, float, float, float, float]:
+def _feature_values(log: UserActivityLog) -> tuple[int, float | None, float, float, float, float]:
     """A FeatureVector's fields after user_id: n_comments, atdc_s, pchf_pct, crr, vidovp, crav."""
-    return (len(log.records), atdc(log), pchf(log), *_pair_census(log, mode))
+    return (len(log.records), atdc(log), pchf(log), *_pair_census(log))
 
 
 def feature_vector(log: UserActivityLog, mode: str = MODE_CANONICAL) -> FeatureVector:
-    """Assemble all indicators plus the comment count for one user."""
-    return FeatureVector(log.user_id, *_feature_values(log, mode))
+    """Assemble all indicators plus the comment count for one user.
+
+    mode is here only for bench/traced_cli.py; any but MODE_CANONICAL is a ValueError.
+    """
+    if mode != MODE_CANONICAL:
+        raise ValueError(f"unknown normalization mode: {mode!r}")
+    return FeatureVector(log.user_id, *_feature_values(log))

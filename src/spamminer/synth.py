@@ -272,6 +272,11 @@ def load_persona_specs(path: str) -> list[PersonaSpec]:
     return [persona_spec_from_obj(item) for item in data]
 
 
+def truth_path_for(out_path: str | Path) -> Path:
+    """The label map's path beside the corpus at out_path: {stem}.truth.json."""
+    return Path(out_path).with_suffix(".truth.json")
+
+
 def write_corpus(corpus: LabeledCorpus, out_path: str | Path) -> tuple[Path, Path]:
     """Write the corpus as canonical JSONL plus a {stem}.truth.json label map."""
     out_path = Path(out_path)
@@ -279,7 +284,7 @@ def write_corpus(corpus: LabeledCorpus, out_path: str | Path) -> tuple[Path, Pat
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in corpus.records:
             fh.write(record_to_json(rec) + "\n")
-    truth_path = out_path.with_suffix(".truth.json")
+    truth_path = truth_path_for(out_path)
     with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(corpus.truth, fh, indent=2, sort_keys=True)
         fh.write("\n")

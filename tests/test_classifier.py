@@ -7,7 +7,7 @@ import csv
 import pytest
 
 from spamminer.classifier import classify, classify_batch, score_corpus
-from spamminer.features import MODE_RAW_BYTES, feature_vector
+from spamminer.features import feature_vector
 from spamminer.ingest import CSV_REQUIRED_COLUMNS, AllLinesRejected, MissingHeader, group_by_user
 from spamminer.model import (
     FeatureVector,
@@ -139,9 +139,19 @@ class TestScoreCorpus:
         assert list(verdicts) == [classify(feature_vector(log)) for log in group_by_user(records)]
         assert (report.accepted, report.rejects) == (14, [(4, "ParseError")])
 
+    def test_atdc_is_absent_below_two_comments_only(self, tmp_path):
+        # The scorer's table holds 0.0 for an absent atdc_s; the comment count tells them apart.
+        records = [make_record(user="one", ts=5, cid="c0"), make_record(user="two", ts=0, cid="c1"),
+                   make_record(user="two", ts=10, cid="c2")]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(record_to_json(rec) + "\n" for rec in records), encoding="utf-8")
+        verdicts = list(score_corpus(corpus)[1])
+        assert [(v.user_id, v.features.n_comments, v.features.atdc_s) for v in verdicts] == [
+            ("one", 1, None), ("two", 2, 10.0)]
+
     def test_keywords_reach_the_parser_the_features_and_the_rule(self, tmp_path):
         # Seven comments an hour apart on one video, whose texts match once whitespace is
-        # normalized: COMOVP fires on canonical text only.
+        # normalized, so COMOVP fires.
         records = [make_record(ts=3600 * k, text="hi" + " " * k, cid=f"c{k}") for k in range(7)]
         jsonl = tmp_path / "corpus.jsonl"
         jsonl.write_text("".join(record_to_json(rec) + "\n" for rec in records), encoding="utf-8")
@@ -157,7 +167,6 @@ class TestScoreCorpus:
             return [verdict.label for verdict in score_corpus(path, **keywords)[1]]
 
         assert labels(jsonl) == labels(str(csv_path), format="csv") == [Label.SPAMMER]
-        assert labels(jsonl, normalization=MODE_RAW_BYTES) == [Label.LEGIT]
         assert labels(jsonl, config=RuleConfig(min_comments=7)) == [Label.INSUFFICIENT]
 
     @pytest.mark.parametrize("fmt, content, error", [
@@ -172,10 +181,9 @@ class TestScoreCorpus:
         with pytest.raises(error):
             score_corpus(corpus, format=fmt)  # no verdict is drawn
 
-    @pytest.mark.parametrize("keyword", ["format", "normalization"])
-    def test_unknown_keyword_value_is_raised_before_the_file_is_opened(self, tmp_path, keyword):
-        one = tmp_path / "one.jsonl"  # no user has two comments, so no text is normalized
+    def test_unknown_keyword_value_is_raised_before_the_file_is_opened(self, tmp_path):
+        one = tmp_path / "one.jsonl"
         one.write_text(record_to_json(make_record()) + "\n", encoding="utf-8")
         for path in (one, tmp_path / "missing.jsonl"):
-            with pytest.raises(ValueError, match=f"unknown {keyword}.*'bogus'"):
-                score_corpus(path, **{keyword: "bogus"})
+            with pytest.raises(ValueError, match="unknown format.*'bogus'"):
+                score_corpus(path, format="bogus")

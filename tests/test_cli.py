@@ -89,6 +89,16 @@ class TestScore:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["corpus.jsonl", "corpus.truth.json"] + ([] if link == "same" else [out.name]))
 
+    def test_output_that_is_the_config_is_a_usage_error(self, corpus_path, tmp_path, capsys):
+        cfg_path = tmp_path / "rule.json"
+        cfg_path.write_text(json.dumps({"min_comments": 1000}), encoding="utf-8")
+        code = main(["score", "--input", str(corpus_path), "--config", str(cfg_path),
+                     "--output", str(cfg_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: --output is the --config file: {cfg_path}\n")
+        assert json.loads(cfg_path.read_text(encoding="utf-8")) == {"min_comments": 1000}
+
     def test_explain_goes_to_stderr(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "verdicts.jsonl"
         code = main(["score", "--input", str(corpus_path), "--output", str(out),
@@ -955,12 +965,12 @@ ORDER_CASES = {
 }
 
 
-def _grouped_score_corpus(path, *, format, config, normalization):
+def _grouped_score_corpus(path, *, format, config):
     """Parse whole -> group_by_user -> feature_vector -> classify: the oracle for score_corpus."""
     parse = ingest.parse_jsonl if format == "jsonl" else ingest.parse_csv
     with open(path, "rb") as fh:
         records, rep = parse(fh)
-    return rep, [classifier.classify(features.feature_vector(log, normalization), config)
+    return rep, [classifier.classify(features.feature_vector(log), config)
                  for log in ingest.group_by_user(records)]
 
 
@@ -1261,8 +1271,52 @@ class TestSynth:
         assert code == EXIT_CONFIG
         assert f"config error: invalid JSON in {spec}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec_name, out_name, written", [
+        ("s.json", "s.json", "--out"),
+        ("k.truth.json", "k.jsonl", "--out's truth file"),
+    ], ids=["corpus", "truth"])
+    def test_out_that_is_the_spec_is_a_usage_error(self, tmp_path, capsys, spec_name,
+                                                   out_name, written):
+        spec = tmp_path / spec_name
+        spec_text = json.dumps([{"kind": "bot", "count": 2}])
+        spec.write_text(spec_text, encoding="utf-8")
+        code = main(["synth", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / out_name)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: {written} is the --spec file: {spec}\n")
+        assert spec.read_text(encoding="utf-8") == spec_text
+        assert [p.name for p in tmp_path.iterdir()] == [spec_name]
+
 
 class TestReport:
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_outdir_file_that_is_the_input_is_a_usage_error(self, corpus_path, tmp_path,
+                                                            capsys, svg):
+        outdir = tmp_path / "figs"
+        outdir.mkdir()
+        corpus = outdir / ("fig2.svg" if svg else "summary.json")
+        corpus.write_bytes(corpus_path.read_bytes())
+        code = main(["report", "--input", str(corpus), "--outdir", str(outdir)]
+                    + ["--svg"] * svg)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: a file in --outdir is the --input file: {corpus}\n")
+        assert corpus.read_bytes() == corpus_path.read_bytes()
+        assert [p.name for p in outdir.iterdir()] == [corpus.name]
+
+    @pytest.mark.parametrize("name, svg", [("fig2.svg", False), ("fig6.svg", True),
+                                           ("fig3.csv", False)])
+    def test_input_in_outdir_that_is_not_written_is_read(self, corpus_path, tmp_path, name, svg):
+        outdir = tmp_path / "figs"
+        outdir.mkdir()
+        corpus = outdir / name
+        corpus.write_bytes(corpus_path.read_bytes())
+        code = main(["report", "--input", str(corpus), "--figures", "fig2,fig6",
+                     "--outdir", str(outdir)] + ["--svg"] * svg)
+        assert code == EXIT_OK
+        assert corpus.read_bytes() == corpus_path.read_bytes()
+
     def test_selected_figures(self, corpus_path, tmp_path):
         outdir = tmp_path / "figs"
         code = main(["report", "--input", str(corpus_path), "--figures", "fig2,fig5",

@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from spamminer.features import (
     MODE_CANONICAL,
-    MODE_RAW_BYTES,
-    NORMALIZATION_MODES,
     atdc,
     crav,
     crr,
@@ -46,12 +44,12 @@ class TestNormalizeText:
         decomposed = "é"       # e + combining acute
         assert normalize_text(decomposed) == composed
 
-    def test_raw_bytes_is_identity(self):
-        assert normalize_text("  a\t b ", MODE_RAW_BYTES) == "  a\t b "
-
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_text("x", "fuzzy")
+        log = make_log(rows=[(0, "a  b"), (1, "a b")])
+        assert feature_vector(log, MODE_CANONICAL) == feature_vector(log)
+        for mode in ("fuzzy", "raw-bytes", "Canonical", "", None):
+            with pytest.raises(ValueError, match="unknown normalization mode"):
+                feature_vector(log, mode)
 
     @given(st.text(max_size=50))
     def test_idempotent(self, raw):
@@ -115,10 +113,9 @@ class TestCrr:
         assert crr(make_log(rows=[(0, "a")])) == 0.0
         assert crr(make_log()) == 0.0
 
-    def test_normalization_mode_matters(self):
+    def test_whitespace_variants_match(self):
         log = make_log(rows=[(0, "a  b"), (1, "a b")])
-        assert crr(log, MODE_CANONICAL) == 1.0
-        assert crr(log, MODE_RAW_BYTES) == 0.0
+        assert crr(log) == 1.0
 
 
 class TestVidovp:
@@ -220,16 +217,15 @@ def test_counting_formula_matches_brute_force(log):
 
 
 @given(st.lists(st.tuples(st.text("ab ", max_size=3), st.sampled_from(["v1", "v2", "v3"])),
-                max_size=12),
-       st.sampled_from(NORMALIZATION_MODES))
-def test_census_matches_brute_force_with_mostly_distinct_texts(rows, mode):
+                max_size=12))
+def test_census_matches_brute_force_with_mostly_distinct_texts(rows):
     """Logs with no, one or few matching texts, where the census takes its short cuts."""
     log = build_log("u1", [make_record(ts=i, text=text, video=video)
                            for i, (text, video) in enumerate(rows)])
-    pairs = [(normalize_text(text, mode), video) for text, video in rows]
-    assert crr(log, mode) == brute_pair_fraction(pairs, lambda a, b: a[0] == b[0])
+    pairs = [(normalize_text(text), video) for text, video in rows]
+    assert crr(log) == brute_pair_fraction(pairs, lambda a, b: a[0] == b[0])
     assert vidovp(log) == brute_pair_fraction(pairs, lambda a, b: a[1] != b[1])
-    assert crav(log, mode) == brute_pair_fraction(
+    assert crav(log) == brute_pair_fraction(
         pairs, lambda a, b: a[0] == b[0] and a[1] != b[1]
     )
 
