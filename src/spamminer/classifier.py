@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from . import features, ingest
-from .model import CLAUSES, FeatureVector, Label, RuleConfig, Verdict, build_log
+from .model import CLAUSES, FeatureVector, Label, RuleConfig, Verdict, build_log, share_ids
 
 
 def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
@@ -61,7 +61,7 @@ def score_corpus(
     for an absent atdc_s. At the first user_id that comes back, the file is
     read again, whole and stably sorted by user_id (a pipe at once), which
     keeps each user's records in input order; only that read keeps its
-    records, so only it shares their id strings.
+    records, so only it passes them through share_ids.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {format!r}")
@@ -73,8 +73,10 @@ def score_corpus(
             rows: dict[str, int] = {}  # user_id -> row number in table
             table = array("d")
             report = ingest.IngestReport()
-            records = (sorted(records_of(fh, report, {}), key=user_id_of) if whole
-                       else records_of(fh, report))
+            records = records_of(fh, report)
+            if whole:
+                records = share_ids(records)
+                records.sort(key=user_id_of)  # in place: sorted() would hold a second list
             for user_id, run in groupby(records, key=user_id_of):
                 if user_id in rows:  # the first repeat: this user's row is incomplete
                     break

@@ -133,8 +133,8 @@ def _same_file(path: str | Path, other: str) -> bool:
 
 
 def _refuse_overwrite(args: argparse.Namespace, written: Iterable[tuple[str, str | Path]]) -> None:
-    """Raise UsageError if a (name, path) the command writes is its --input, --config or --spec."""
-    for (name, path), flag in product(written, ("input", "config", "spec")):
+    """Raise UsageError if a (name, path) the command writes is a file it reads."""
+    for (name, path), flag in product(written, ("input", "config", "spec", "users")):
         source = getattr(args, flag, None)
         if source and os.path.isfile(path) and _same_file(path, source):
             raise UsageError(f"{name} is the --{flag} file: {path}")
@@ -185,6 +185,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         raise UsageError(f"users file {args.users} is not UTF-8: {exc}") from None
     # Only \n ends a line: read_text has turned \r\n and \r into it, and an id may hold U+2028.
     users = list(dict.fromkeys(line.strip() for line in text.split("\n") if line.strip()))
+    _refuse_overwrite(args, [("a file in --cache", ingest.user_file(args.cache, user_id))
+                             for user_id in users])
     fetched = 0
     for user_id in users:
         try:

@@ -40,7 +40,7 @@ from .model import (
     decode_record,
     parse_rfc3339,
     record_to_json,
-    shared_id,
+    share_ids,
 )
 
 
@@ -133,21 +133,19 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
 
     Malformed lines are recorded in the report and skipped; they never abort
     the stream. One byte order mark at the start of line 1 is dropped.
-    The records share one string per distinct user_id and video_id.
+    The records share one string per distinct user_id and video_id (share_ids).
     Raises AllLinesRejected when the input had lines but none parsed.
     """
     report = IngestReport()
-    return list(iter_jsonl(stream, report, {})), report
+    return share_ids(iter_jsonl(stream, report)), report
 
 
-def iter_jsonl(
-    stream: IO | Iterable, report: IngestReport, ids: dict[str, str] | None = None
-) -> Iterator[CommentRecord]:
+def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
     """parse_jsonl, one record at a time: yield each record, tally every line in report.
 
-    With ids, the records share their id strings through that table, as
-    decode_record does; a caller that keeps the records passes one. Raises
-    AllLinesRejected when the stream is exhausted with lines but no record.
+    Each record holds its own id strings; a caller that keeps the records
+    shares them with share_ids. Raises AllLinesRejected when the stream is
+    exhausted with lines but no record.
     """
     for line_no, line in enumerate(_without_bom(stream), start=1):
         try:
@@ -162,7 +160,7 @@ def iter_jsonl(
                 raise ParseError("expecting a JSON value") from None
             if end != len(text):
                 raise ParseError(f"extra data after column {end}")
-            rec = decode_record(obj, ids)
+            rec = decode_record(obj)
         except ValidationError as exc:
             report.reject(line_no, type(exc).__name__)
         except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep, or a bad published_at
@@ -194,13 +192,11 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     refer to physical lines in the file, as with JSONL.
     """
     report = IngestReport()
-    return list(iter_csv(stream, report, {})), report
+    return share_ids(iter_csv(stream, report)), report
 
 
-def iter_csv(
-    stream: IO | Iterable, report: IngestReport, ids: dict[str, str] | None = None
-) -> Iterator[CommentRecord]:
-    """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl (ids too).
+def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+    """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl (id strings too).
 
     A bytes line is decoded with surrogateescape, which makes each byte that
     is not UTF-8 one of U+DC80-U+DCFF and keeps the CSV reader in its place;
@@ -253,10 +249,7 @@ def iter_csv(
             hint = _FLAG_VALUES.get(row[hint_col].strip().lower())
             if hint is None:
                 raise ParseError(f"bad has_spam_hint value: {row[hint_col]!r}")
-            user_id, video_id = row[user_col], row[video_col]
-            if ids is not None:
-                user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
-            rec = CommentRecord(user_id, video_id,
+            rec = CommentRecord(row[user_col], row[video_col],
                                 parse_rfc3339(row[published_col].strip()), row[text_col], hint,
                                 None if comment_id_col is None else row[comment_id_col])
         except ValidationError as exc:
@@ -297,9 +290,9 @@ class FetchResult(NamedTuple):
 
 
 def _decode_page(
-    body: bytes, page_token: str | None, ids: dict[str, str] | None = None
+    body: bytes, page_token: str | None
 ) -> tuple[tuple[CommentRecord, ...], str | None]:
-    """(comments, next_page_token) of one feed page body; ids as for decode_record."""
+    """(comments, next_page_token) of one feed page body."""
     try:  # UTF-8 only, with one optional byte order mark: json.loads would sniff UTF-16 and -32
         obj = json.loads(body.decode("utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -310,7 +303,7 @@ def _decode_page(
     if token is not None and not isinstance(token, str):
         raise MalformedPage("next_page_token must be a string", page_token)
     try:
-        comments = tuple(decode_record(item, ids) for item in obj["comments"])
+        comments = tuple(decode_record(item) for item in obj["comments"])
     except ValueError as exc:
         raise MalformedPage(f"bad record: {exc}", page_token) from exc
     return comments, token
@@ -322,7 +315,6 @@ def _get_page(
     page_token: str | None,
     backoff_s: tuple[float, ...],
     timeout_s: float,
-    ids: dict[str, str],
 ) -> tuple[tuple[CommentRecord, ...], str | None]:
     url = f"{base_url.rstrip('/')}/users/{quote(user_id, safe='')}/comments"
     if page_token is not None:
@@ -332,9 +324,9 @@ def _get_page(
     import urllib.error
     import urllib.request
 
-    # One initial attempt plus one retry per backoff step; 404 is definitive
-    # and never retried, transport errors and 5xx are. A ValueError is a URL
-    # that http.client cannot parse, such as a port that is not a number.
+    # One initial attempt plus one retry per backoff step; 404 is definitive and never
+    # retried, transport errors and 5xx are. A URL that cannot be parsed (InvalidURL,
+    # ValueError) fails the same way every time, so it is raised at once.
     last_error: Exception | None = None
     for attempt in range(len(backoff_s) + 1):
         if attempt:
@@ -345,7 +337,9 @@ def _get_page(
         except urllib.error.HTTPError as exc:
             exc.close()
             status = exc.code
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+        except (http.client.InvalidURL, ValueError) as exc:
+            raise EndpointUnreachable(f"cannot request {url}: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
         if status == 404:
@@ -355,7 +349,7 @@ def _get_page(
             continue
         if status != 200:
             raise EndpointUnreachable(f"HTTP {status} from {url}")
-        return _decode_page(body, page_token, ids)
+        return _decode_page(body, page_token)
     raise EndpointUnreachable(f"giving up on {url}: {last_error}")
 
 
@@ -407,15 +401,13 @@ def fetch_user_log(
         return FetchResult(log=log, rejects=tuple(report.rejects))
 
     records: list[CommentRecord] = []
-    ids: dict[str, str] = {}  # one string per distinct id across the pages
     token: str | None = None
     for _ in range(page_limit):
-        comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s,
-                                    ids)
+        comments, token = _get_page(endpoint_str, user_id, token, tuple(backoff_s), timeout_s)
         records.extend(comments)
         if token is None:
             break
-    return FetchResult(log=build_log(user_id, records), truncated=token is not None)
+    return FetchResult(log=build_log(user_id, share_ids(records)), truncated=token is not None)
 
 
 # --- on-disk cache ---------------------------------------------------------

@@ -28,7 +28,7 @@ from collections import namedtuple
 from datetime import datetime
 from enum import Enum
 from json.encoder import encode_basestring as _quote
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class ValidationError(ValueError):
@@ -82,9 +82,9 @@ class CommentRecord(_Value, namedtuple(
     """One comment event: who commented on what, when, and what they wrote.
 
     user_id and video_id are trimmed on construction and must be non-empty.
-    No process-wide table holds them: a parse that keeps its records shares
-    one string per distinct id through a table of its own (the ids argument
-    of decode_record, ingest.iter_jsonl and ingest.iter_csv), freed with it.
+    No process-wide table holds them: a parse that keeps its records passes
+    them through share_ids, whose table of one string per distinct id is
+    freed when it returns.
     timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
     comment_id is optional: trimmed, absent (None) when blank, and expected to
     be unique in one user's log (build_log enforces this by deduplication).
@@ -395,28 +395,31 @@ def record_to_json(rec: CommentRecord) -> str:
     )
 
 
-def shared_id(ids: dict[str, str], value: str) -> str:
-    """value stripped, as the equal string already in ids; added to ids when new."""
-    value = value.strip()
-    return ids.setdefault(value, value)
+def share_ids(records: Iterable[CommentRecord]) -> list[CommentRecord]:
+    """records as a list whose equal user_id and video_id strings are one object each.
+
+    One table per call serves both fields. Equal strings pass the same checks,
+    so each record is rebuilt with tuple.__new__, not CommentRecord.__new__.
+    """
+    new, shared = tuple.__new__, {}.setdefault  # shared(s, s): the first string equal to s
+    return [new(CommentRecord, (shared(uid, uid), shared(vid, vid), ts, text, hint, cid))
+            for uid, vid, ts, text, hint, cid in records]
 
 
-def decode_record(obj: dict, ids: dict[str, str] | None = None) -> CommentRecord:
+def decode_record(obj: dict) -> CommentRecord:
     """Build a validated record from a canonical JSON object.
 
     Only the wire format is checked here (string ids and an RFC3339
     published_at, else ValueError); CommentRecord checks the rest. A missing
     has_spam_hint is False (a missing tag is no evidence of spam) and a
-    missing text is empty. With ids, user_id and video_id are the strings in
-    that table (see shared_id), so records decoded with one table share them.
+    missing text is empty. A caller that keeps many records shares their id
+    strings with share_ids.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"expected JSON object, got {type(obj).__name__}")
     user_id = _required_str(obj, "user_id")
     video_id = _required_str(obj, "video_id")
     published_at = _required_str(obj, "published_at")
-    if ids is not None:
-        user_id, video_id = shared_id(ids, user_id), shared_id(ids, video_id)
     return CommentRecord(user_id, video_id, parse_rfc3339(published_at), obj.get("text", ""),
                          obj.get("has_spam_hint", False), obj.get("comment_id"))
 

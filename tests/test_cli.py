@@ -469,6 +469,34 @@ class TestFetch:
         assert [p.name for p in feed_dir.iterdir()] == ["u1.jsonl"]
         assert (feed_dir / "u1.jsonl").read_bytes() == feed
 
+    @pytest.mark.parametrize("link", ["same", "symlink"])
+    def test_users_file_in_the_cache_is_a_usage_error(self, tmp_path, capsys, monkeypatch, link):
+        # alice's cache file is the --users file: fetching her would replace the list.
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        for user_id in ("bob", "alice"):
+            (feed_dir / f"{user_id}.jsonl").write_text(
+                record_to_json(make_record(user=user_id, ts=1)) + "\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        listed = cache_dir / "alice.jsonl"
+        listed.write_text("bob\nalice\n", encoding="utf-8")
+        users = listed if link == "same" else tmp_path / "users.txt"
+        if link == "symlink":
+            os.symlink(listed, users)
+        reads = []
+        fetch_user_log = ingest.fetch_user_log
+        monkeypatch.setattr(ingest, "fetch_user_log",
+                            lambda *args: reads.append(args) or fetch_user_log(*args))
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: a file in --cache is the --users file: {listed}\n")
+        assert reads == []
+        assert [p.name for p in cache_dir.iterdir()] == ["alice.jsonl"]
+        assert listed.read_text(encoding="utf-8") == "bob\nalice\n"
+
     def test_directory_endpoint_partial_rejects(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
@@ -979,12 +1007,12 @@ def _count_lines_read(monkeypatch, fmt: str) -> list[int]:
     lines_read = [0]
     iter_records = getattr(ingest, f"iter_{fmt}")
 
-    def counting_iter(stream, report, ids=None):
+    def counting_iter(stream, report):
         def lines():
             for line in stream:
                 lines_read[0] += 1
                 yield line
-        return iter_records(lines(), report, ids)
+        return iter_records(lines(), report)
 
     monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
     return lines_read
@@ -1066,25 +1094,14 @@ class TestInputOrder:
         users = list(first_line)
         total_lines = len(records) + (fmt == "csv")
 
-        lines_read = 0
-        iter_records = getattr(ingest, f"iter_{fmt}")
-
-        def counting_iter(stream, report, ids=None):
-            def lines():
-                nonlocal lines_read
-                for line in stream:
-                    lines_read += 1
-                    yield line
-            return iter_records(lines(), report, ids)
-
+        lines_read = _count_lines_read(monkeypatch, fmt)
         read_at_vector: dict[str, int] = {}
         feature_values = features._feature_values
 
         def recording_feature_values(log, *args):
-            read_at_vector[log.user_id] = lines_read
+            read_at_vector[log.user_id] = lines_read[0]
             return feature_values(log, *args)
 
-        monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
         monkeypatch.setattr(features, "_feature_values", recording_feature_values)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
@@ -1093,7 +1110,7 @@ class TestInputOrder:
         for k, user in enumerate(users):
             limit = first_line[users[k + 2]] if k + 2 < len(users) else total_lines + 1
             assert read_at_vector[user] < limit
-        assert lines_read == total_lines
+        assert lines_read[0] == total_lines
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_restart_at_first_repeat(self, tmp_path, monkeypatch, fmt):
@@ -1113,22 +1130,11 @@ class TestInputOrder:
             first_repeat_line += len(list(run))
         total_lines = len(records) + header
 
-        lines_read = 0
-        iter_records = getattr(ingest, f"iter_{fmt}")
-
-        def counting_iter(stream, report, ids=None):
-            def lines():
-                nonlocal lines_read
-                for line in stream:
-                    lines_read += 1
-                    yield line
-            return iter_records(lines(), report, ids)
-
-        monkeypatch.setattr(ingest, f"iter_{fmt}", counting_iter)
+        lines_read = _count_lines_read(monkeypatch, fmt)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
         assert first_repeat_line < total_lines // 2
-        assert lines_read == first_repeat_line + total_lines
+        assert lines_read[0] == first_repeat_line + total_lines
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("case", ["late_repeat", "shuffled"])

@@ -13,6 +13,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from spamminer import ingest
 from spamminer.ingest import (
     AllLinesRejected,
     EndpointUnreachable,
@@ -806,6 +807,20 @@ class TestFetchHttp:
     def test_unreachable_endpoint(self):
         with pytest.raises(EndpointUnreachable):
             fetch_user_log("http://127.0.0.1:9", "u1", backoff_s=NO_BACKOFF)
+
+    @pytest.mark.parametrize("base_url", [
+        "http://127.0.0.1:abc",  # a port that is not a number
+        "http://127.0.0.1:9/a b",  # a space in the base path
+        "http://[::1",  # an unclosed IPv6 address
+    ])
+    def test_url_that_cannot_be_parsed_is_not_retried(self, monkeypatch, base_url):
+        # The URL fails the same way every time: a retry would only sleep.
+        sleeps = []
+        monkeypatch.setattr(ingest.time, "sleep", sleeps.append)
+        with pytest.raises(EndpointUnreachable) as excinfo:
+            fetch_user_log(base_url, "u1")
+        assert sleeps == []
+        assert f"{base_url}/users/u1/comments" in str(excinfo.value)
 
     @pytest.mark.parametrize("status", [403, 201])
     def test_other_status_not_retried(self, status):

@@ -35,6 +35,7 @@ from spamminer.model import (
     parse_rfc3339,
     record_to_json,
     rule_config_from_obj,
+    share_ids,
     verdict_to_json,
 )
 
@@ -377,11 +378,18 @@ class TestRecordWireFormat:
     def test_decoded_records_share_id_strings(self, user_id):
         line = json.dumps({"user_id": user_id, "video_id": "video-9",
                            "published_at": "1970-01-01T00:00:00Z"})
-        ids: dict[str, str] = {}
-        first, second = decode_record(json.loads(line), ids), decode_record(json.loads(line), ids)
+        swapped = json.dumps({"user_id": "video-9", "video_id": user_id,
+                              "published_at": "1970-01-01T00:00:00Z"})
+        decoded = [decode_record(json.loads(text)) for text in (line, line, swapped)]
+        assert decoded[0].video_id is not decoded[1].video_id  # each decode makes its own
+        first, second, third = share_ids(decoded)
+        assert [first, second, third] == decoded
         assert first.user_id == "user-1"
         assert first.user_id is second.user_id
         assert first.video_id is second.video_id
+        # One table serves both fields: an id equal to an id of the other field is one object.
+        assert third.user_id is first.video_id
+        assert third.video_id is first.user_id
 
     def test_decode_without_a_table_keeps_no_ids(self):
         # No process-wide table: once its records are dropped, decoding has kept
@@ -447,6 +455,21 @@ def wire_verdicts(draw):
     triggered = draw(st.frozensets(st.sampled_from(Indicator)))
     label = Label.SPAMMER if triggered else draw(st.sampled_from([Label.LEGIT, Label.INSUFFICIENT]))
     return Verdict(fv.user_id, label, triggered, fv)
+
+
+# A few ids, padded ones among them so that equal ids are distinct objects on input.
+shareable_id = st.sampled_from(["u1", " u1", "u1 ", "v1", " v1", "v1 "]) | wire_id
+
+
+@given(st.lists(st.builds(CommentRecord, user_id=shareable_id, video_id=shareable_id,
+                          timestamp_s=st.integers(min_value=0, max_value=10_000),
+                          text=wire_text, comment_id=st.none() | wire_text), max_size=20))
+def test_share_ids_keeps_records_and_shares_each_id(records):
+    shared = share_ids(iter(records))
+    assert shared == records
+    assert all(type(rec) is CommentRecord for rec in shared)
+    ids = [value for rec in shared for value in (rec.user_id, rec.video_id)]
+    assert len({id(value) for value in ids}) == len(set(ids))
 
 
 class TestLineEncoders:
