@@ -18,6 +18,7 @@ one JSONL file per user instead, named as user_file names a cache file.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import json
@@ -29,7 +30,7 @@ import time
 from collections import defaultdict
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import quote, urlencode
 
 from .model import (
@@ -115,24 +116,24 @@ class IngestReport:
 # accepted when, stripped of JSON whitespace, it scans to its end.
 _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
-_BOM = "\ufeff"
 
 
-def _without_bom(stream: IO | Iterable) -> Iterator:
+def _without_bom(stream: Iterable[bytes]) -> Iterator[bytes]:
     """The lines of stream, with one leading byte order mark dropped, as an editor may write it."""
     lines = iter(stream)
     first = next(lines, None)
     if first is None:
         return lines
-    bom = _BOM if isinstance(first, str) else _BOM.encode("utf-8")
-    return chain((first.removeprefix(bom),), lines)
+    return chain((first.removeprefix(codecs.BOM_UTF8),), lines)
 
 
-def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
+def parse_jsonl(stream: Iterable[bytes]) -> tuple[list[CommentRecord], IngestReport]:
     """Parse canonical JSON-Lines input, one record attempted per non-empty line.
 
-    Malformed lines are recorded in the report and skipped; they never abort
-    the stream. One byte order mark at the start of line 1 is dropped.
+    stream yields bytes lines, as a file opened "rb" does (a text stream
+    raises TypeError), each decoded as strict UTF-8. Malformed lines, not
+    UTF-8 among them, are recorded in the report and skipped; they never
+    abort the stream. One byte order mark at the start of line 1 is dropped.
     The records share one string per distinct user_id and video_id (share_ids).
     Raises AllLinesRejected when the input had lines but none parsed.
     """
@@ -140,7 +141,7 @@ def parse_jsonl(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestRepor
     return share_ids(iter_jsonl(stream, report)), report
 
 
-def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+def iter_jsonl(stream: Iterable[bytes], report: IngestReport) -> Iterator[CommentRecord]:
     """parse_jsonl, one record at a time: yield each record, tally every line in report.
 
     Each record holds its own id strings; a caller that keeps the records
@@ -149,9 +150,7 @@ def iter_jsonl(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentR
     """
     for line_no, line in enumerate(_without_bom(stream), start=1):
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            text = line.strip(_JSON_WHITESPACE)
+            text = line.decode("utf-8").strip(_JSON_WHITESPACE)
             try:
                 obj, end = _scan_json(text, 0)
             except StopIteration:  # no JSON value: a blank line is skipped
@@ -180,12 +179,13 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _CSV_FIELD_SIZE_LIMIT = 2**31 - 1
 
 
-def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]:
-    """Parse CSV input with the same skip-and-report contract as parse_jsonl.
+def parse_csv(stream: Iterable[bytes]) -> tuple[list[CommentRecord], IngestReport]:
+    """Parse CSV with the same contract as parse_jsonl: bytes lines in, skip and report.
 
     The first row must be a header containing at least user_id, video_id,
     published_at, text, and has_spam_hint (comment_id is optional); quoted
-    fields may contain commas and newlines. One leading byte order mark is
+    fields may contain commas and newlines. A row with more or fewer cells
+    than the header is a ParseError reject. One leading byte order mark is
     dropped. Raises MissingHeader when a required column is absent, a column
     it reads is named twice, or the header is not UTF-8 or not CSV (the csv
     module cannot read it, say for a bare carriage return). Reject line numbers
@@ -195,20 +195,19 @@ def parse_csv(stream: IO | Iterable) -> tuple[list[CommentRecord], IngestReport]
     return share_ids(iter_csv(stream, report)), report
 
 
-def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRecord]:
+def iter_csv(stream: Iterable[bytes], report: IngestReport) -> Iterator[CommentRecord]:
     """parse_csv, one record at a time, as iter_jsonl is to parse_jsonl (id strings too).
 
-    A bytes line is decoded with surrogateescape, which makes each byte that
-    is not UTF-8 one of U+DC80-U+DCFF and keeps the CSV reader in its place;
-    a str line is read as it is. A header holding one of those characters is
-    MissingHeader, and a row holding one is a ParseError reject at its first
-    line. Cells of any size are read: this raises the csv module's field size
+    Each line is decoded with surrogateescape, which makes each byte that is
+    not UTF-8 one of U+DC80-U+DCFF and keeps the CSV reader in its place. A
+    header holding one of those characters is MissingHeader, and a row
+    holding one, in any column, is a ParseError reject at its first line.
+    Cells of any size are read: this raises the csv module's field size
     limit, which is process-wide. MissingHeader is raised when the first
     record is asked for.
     """
     csv.field_size_limit(_CSV_FIELD_SIZE_LIMIT)
-    reader = csv.reader(line.decode("utf-8", "surrogateescape") if isinstance(line, bytes)
-                        else line for line in _without_bom(stream))
+    reader = csv.reader(line.decode("utf-8", "surrogateescape") for line in _without_bom(stream))
     try:
         header = next(reader)
     except StopIteration:
@@ -244,7 +243,7 @@ def iter_csv(stream: IO | Iterable, report: IngestReport) -> Iterator[CommentRec
         try:
             if not joined.isascii() and _NOT_UTF8.search(joined):
                 raise ParseError("row is not UTF-8")
-            if len(row) < width:
+            if len(row) != width:
                 raise ParseError(f"row has {len(row)} fields, expected {width}")
             hint = _FLAG_VALUES.get(row[hint_col].strip().lower())
             if hint is None:

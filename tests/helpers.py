@@ -142,19 +142,19 @@ def encode_verdict(verdict: Verdict) -> dict:
 # --- reference JSONL reader --------------------------------------------------
 
 def reference_parse_jsonl(lines) -> tuple[list[CommentRecord], list[tuple[int, str]]]:
-    """(records, rejects) of JSONL lines, each decoded whole by JSONDecoder.decode.
+    """(records, rejects) of JSONL bytes lines, each decoded whole by JSONDecoder.decode.
 
-    The earlier reader, kept as an oracle for ingest.iter_jsonl: a line blank
-    under str.strip() is skipped, and a line is rejected by the name of its
-    ValidationError, or as ParseError.
+    The earlier reader, kept as an oracle for ingest.iter_jsonl: a line that
+    is not UTF-8 is rejected as ParseError, a line blank under str.strip() is
+    skipped, and a line is rejected by the name of its ValidationError, or as
+    ParseError.
     """
     decode = json.JSONDecoder().decode
     records: list[CommentRecord] = []
     rejects: list[tuple[int, str]] = []
     for line_no, line in enumerate(lines, start=1):
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
+            line = line.decode("utf-8")
             if not line.strip():
                 continue
             rec = decode_record(decode(line))
@@ -170,10 +170,10 @@ def reference_parse_jsonl(lines) -> tuple[list[CommentRecord], list[tuple[int, s
 # --- reference CSV reader ----------------------------------------------------
 
 def reference_parse_csv(lines) -> tuple[list[CommentRecord], list[tuple[int, str]]]:
-    """(records, rejects) of CSV lines, with each line that is not UTF-8 found by its number.
+    """(records, rejects) of CSV bytes lines, with each line that is not UTF-8 found by its number.
 
-    The earlier reader, kept as an oracle for ingest.iter_csv. A bytes line
-    that is not UTF-8 is decoded with replacement characters and its number
+    The earlier reader, kept as an oracle for ingest.iter_csv. A line that is
+    not UTF-8 is decoded with replacement characters and its number
     kept; a header read by then is MissingHeader, and a row is a ParseError
     reject when the last such number is at or after the row's first line,
     since the CSV reader reads no line past the row. Raises MissingHeader as
@@ -184,16 +184,13 @@ def reference_parse_csv(lines) -> tuple[list[CommentRecord], list[tuple[int, str
 
     def text_lines():
         for line_no, line in enumerate(lines, start=1):
-            if isinstance(line, bytes):
-                if line_no == 1:
-                    line = line.removeprefix("\ufeff".encode("utf-8"))
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    not_utf8.append(line_no)
-                    line = line.decode("utf-8", "replace")
-            elif line_no == 1:
-                line = line.removeprefix("\ufeff")
+            if line_no == 1:
+                line = line.removeprefix("\ufeff".encode("utf-8"))
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                not_utf8.append(line_no)
+                line = line.decode("utf-8", "replace")
             yield line
 
     reader = csv.reader(text_lines())
@@ -226,8 +223,8 @@ def reference_parse_csv(lines) -> tuple[list[CommentRecord], list[tuple[int, str
         try:
             if not_utf8 and not_utf8[-1] >= line_no:
                 raise ValueError(f"line {not_utf8[-1]} is not UTF-8")
-            if len(row) < len(columns):
-                raise ValueError("short row")
+            if len(row) != len(columns):
+                raise ValueError("short or long row")
             cell = dict(zip(columns, row))  # each column read is named once
             hint = flags.get(cell["has_spam_hint"].strip().lower())
             if hint is None:

@@ -57,6 +57,9 @@ REJECTED_INPUTS = [
             b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
     ("csv", b"user_id,comment_id\r,video_id,published_at,text,has_spam_hint\n"
             b"u1,c1,v1,2021-01-01T00:00:00Z,hi,false\n"),
+    # An unquoted comma in the text makes a seventh cell, which is not dropped.
+    ("csv", b"user_id,comment_id,video_id,published_at,has_spam_hint,text\n"
+            b"u1,c1,v1,2021-01-01T00:00:00Z,false,hello, world\n"),
 ]
 
 

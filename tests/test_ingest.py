@@ -122,8 +122,14 @@ class TestParseJsonl:
         assert [line_no for line_no, _ in report.rejects] == [2, 4]
 
     def test_text_mode_stream(self):
-        records, _ = parse_jsonl(io.StringIO(VALID_LINE + "\n"))
-        assert len(records) == 1
+        """Every reader takes bytes lines; a text stream is a TypeError before any record."""
+        jsonl = VALID_LINE + "\n" + VALID_LINE + "\n"
+        csv_text = CSV_HEADER + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n"
+        for read, text in [(parse_jsonl, jsonl), (parse_csv, csv_text),
+                           (lambda s: next(iter_jsonl(s, IngestReport())), jsonl),
+                           (lambda s: next(iter_csv(s, IngestReport())), csv_text)]:
+            with pytest.raises(TypeError):
+                read(io.StringIO(text))
 
     def test_non_utf8_line_rejected_in_place(self):
         good = (VALID_LINE + "\n").encode("utf-8")
@@ -151,29 +157,19 @@ class TestParseJsonl:
         assert len(records) == 2
         assert report.rejects == [(2, "LoneSurrogate")]
 
-    def test_lone_surrogate_in_text_mode_line_rejected(self):
-        line = json.dumps({**json.loads(VALID_LINE), "text": "\udfff"}, ensure_ascii=False)
-        records, report = parse_jsonl(io.StringIO(VALID_LINE + "\n" + line + "\n"))
-        assert len(records) == 1
-        assert report.rejects == [(2, "LoneSurrogate")]
-
-    @pytest.mark.parametrize("as_text", [False, True])
-    def test_byte_order_mark_dropped(self, as_text):
+    def test_byte_order_mark_dropped(self):
         # Some editors begin a UTF-8 file with U+FEFF.
         data = "\ufeff" + VALID_LINE + "\n" + VALID_LINE + "\n"
-        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
-        records, report = parse_jsonl(stream)
+        records, report = parse_jsonl(io.BytesIO(data.encode("utf-8")))
         assert len(records) == 2
         assert report.rejects == []
 
-    @pytest.mark.parametrize("as_text", [False, True])
     @pytest.mark.parametrize("data, line_no", [
         ("\ufeff\ufeff" + VALID_LINE + "\n" + VALID_LINE + "\n", 1),
         (VALID_LINE + "\n\ufeff" + VALID_LINE + "\n", 2),
     ])
-    def test_other_byte_order_marks_rejected(self, as_text, data, line_no):
-        stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
-        records, report = parse_jsonl(stream)
+    def test_other_byte_order_marks_rejected(self, data, line_no):
+        records, report = parse_jsonl(io.BytesIO(data.encode("utf-8")))
         assert len(records) == 1
         assert report.rejects == [(line_no, "ParseError")]
 
@@ -234,12 +230,10 @@ jsonl_lines = st.one_of(
 class TestJsonlScanMatchesDecoder:
     """iter_jsonl's one-scan reader accepts and rejects what JSONDecoder.decode does."""
 
-    @given(st.lists(jsonl_lines, max_size=8), st.booleans())
-    def test_same_records_and_rejects(self, lines, as_bytes):
-        stream = [line + "\n" for line in lines]
-        if as_bytes:
-            # A raw lone surrogate becomes bytes that are not UTF-8.
-            stream = [line.encode("utf-8", "surrogatepass") for line in stream]
+    @given(st.lists(jsonl_lines, max_size=8))
+    def test_same_records_and_rejects(self, lines):
+        # A raw lone surrogate becomes bytes that are not UTF-8.
+        stream = [(line + "\n").encode("utf-8", "surrogatepass") for line in lines]
         report = IngestReport()
         try:
             records = list(iter_jsonl(stream, report))
@@ -281,22 +275,19 @@ class TestParseCsv:
         records, _ = parse_csv(stream)
         assert [rec.user_id for rec in records] == ["u1"]
 
-    @pytest.mark.parametrize("as_text", [False, True])
-    def test_byte_order_mark_dropped(self, as_text):
+    def test_byte_order_mark_dropped(self):
         # A spreadsheet's "CSV UTF-8" export begins with U+FEFF, and may quote every cell.
         for header in (CSV_HEADER, QUOTED_CSV_HEADER):
             data = "\ufeff" + header + "\nu1,c1,v1,2021-01-01T00:00:00Z,x,false\n"
-            stream = io.StringIO(data) if as_text else io.BytesIO(data.encode("utf-8"))
-            records, report = parse_csv(stream)
+            records, report = parse_csv(io.BytesIO(data.encode("utf-8")))
             assert [rec.user_id for rec in records] == ["u1"]
             assert report.accepted == 1
 
     def test_only_one_byte_order_mark_dropped(self):
         for header in (CSV_HEADER, QUOTED_CSV_HEADER):
             data = "\ufeff\ufeff" + header + "\n"
-            for stream in (io.StringIO(data), io.BytesIO(data.encode("utf-8"))):
-                with pytest.raises(MissingHeader, match="missing column: 'user_id'"):
-                    parse_csv(stream)
+            with pytest.raises(MissingHeader, match="missing column: 'user_id'"):
+                parse_csv(io.BytesIO(data.encode("utf-8")))
 
     def test_non_utf8_header_rejected(self):
         stream = io.BytesIO(CSV_HEADER.encode("utf-8") + b",note\xff\n"
@@ -308,10 +299,9 @@ class TestParseCsv:
         # The csv module cannot read a bare carriage return in an unquoted cell.
         data = "user_id,comment_id\r,video_id,published_at,text,has_spam_hint\n" + (
             "u1,c1,v1,2021-01-01T00:00:00Z,x,false\n")
-        for stream in (io.StringIO(data), io.BytesIO(data.encode("utf-8"))):
-            with pytest.raises(MissingHeader, match="^header line is not CSV: ") as info:
-                parse_csv(stream)
-            assert isinstance(info.value.__cause__, csv.Error)
+        with pytest.raises(MissingHeader, match="^header line is not CSV: ") as info:
+            parse_csv(io.BytesIO(data.encode("utf-8")))
+        assert isinstance(info.value.__cause__, csv.Error)
 
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("false", False), ("1", True), ("0", False),
@@ -389,42 +379,22 @@ class TestParseCsv:
         assert [rec.comment_id for rec in records] == ["c1", "c4"]
         assert report.rejects == [(3, "ParseError"), (4, "ParseError")]
 
-    @pytest.mark.parametrize("cell", [0, 1, 2, 4])  # user_id, comment_id, video_id, text
-    def test_lone_surrogate_in_text_mode_row_rejected(self, tmp_path, cell):
-        good = "u1,c1,v1,2021-01-01T00:00:00Z,x,false".split(",")
-        bad = "u1,c2,v1,2021-01-01T00:00:01Z,y,false".split(",")
-        bad[cell] += "\ud800"
-        multi_line = 'u1,c3,v1,2021-01-01T00:00:02Z,"two\nlines \udfff",false'
-        stream = io.StringIO("\n".join([CSV_HEADER, ",".join(good), ",".join(bad), multi_line,
-                                        "u1,c4,v1,2021-01-01T00:00:03Z,é,false"]) + "\n")
+    @pytest.mark.parametrize("column", [4, 6])  # text, which is read, and note, which is not
+    def test_not_utf8_in_any_column_rejected(self, column):
+        """A row with bytes that are not UTF-8 is rejected whether its column is read or not,
+        an encoded surrogate among them; a header with such bytes rejects the input."""
+        def row(k, extra=b""):
+            cells = f"u1,c{k},v1,2021-01-01T00:00:0{k}Z,x,false,n".encode().split(b",")
+            cells[column] += extra
+            return b",".join(cells) + b"\n"
+
+        header = (CSV_HEADER + ",note\n").encode()
+        stream = io.BytesIO(header + row(1) + row(2, b"\xff") + row(3, b"\xed\xa0\x80") + row(4))
         records, report = parse_csv(stream)
         assert [rec.comment_id for rec in records] == ["c1", "c4"]
-        assert report.rejects == [(3, "LoneSurrogate"), (4, "LoneSurrogate")]
-        cache_put(tmp_path, build_log("u1", records))  # every accepted record can be written
-
-    def test_surrogate_in_an_unused_column_is_ignored(self):
-        stream = io.StringIO(CSV_HEADER + ",note\nu1,c1,v1,2021-01-01T00:00:00Z,x,false,\ud800\n")
-        records, report = parse_csv(stream)
-        assert report.accepted == 1
-        assert records[0].text == "x"
-
-    @pytest.mark.parametrize("column", [4, 6])  # text, which is read, and note, which is not
-    def test_not_utf8_escape_in_text_mode_rejected(self, column):
-        """U+DC80-U+DCFF, what surrogateescape makes of bytes that are not UTF-8, is rejected
-        in a str row as in a bytes row, in any column; another lone surrogate, U+D800, is not."""
-        def row(k, char=""):
-            cells = f"u1,c{k},v1,2021-01-01T00:00:0{k}Z,x,false,n".split(",")
-            cells[column] += char
-            return ",".join(cells)
-
-        lines = [CSV_HEADER + ",note", row(1), row(2, "\udc80"), row(3, "\udcff"),
-                 row(4, "\ud800")]
-        records, report = parse_csv(io.StringIO("\n".join(lines) + "\n"))
-        lone = [(5, "LoneSurrogate")] if column == 4 else []
-        assert [rec.comment_id for rec in records] == ["c1"] + ([] if lone else ["c4"])
-        assert report.rejects == [(3, "ParseError"), (4, "ParseError"), *lone]
+        assert report.rejects == [(3, "ParseError"), (4, "ParseError")]
         with pytest.raises(MissingHeader, match="header line is not UTF-8"):
-            parse_csv(io.StringIO(lines[0] + "\udc80\n" + row(1) + "\n"))
+            parse_csv(io.BytesIO(header[:-1] + b"\xff\n" + row(1)))
 
     def test_short_row_rejected(self):
         stream = _csv([
@@ -435,6 +405,19 @@ class TestParseCsv:
         records, report = parse_csv(stream)
         assert [rec.comment_id for rec in records] == ["c2"]
         assert report.rejects == [(2, "ParseError")]
+
+    def test_long_row_rejected(self):
+        """A row with more cells than the header, as an unquoted comma in its text or a
+        trailing comma makes, is rejected, not cut to the header's width."""
+        stream = _csv([
+            "user_id,comment_id,video_id,published_at,has_spam_hint,text",
+            "u1,c1,v1,2021-01-01T00:00:00Z,false,hello, world",
+            "u1,c2,v1,2021-01-01T00:00:00Z,false,hello",
+            "u1,c3,v1,2021-01-01T00:00:00Z,false,bye,",
+        ])
+        records, report = parse_csv(stream)
+        assert [rec.comment_id for rec in records] == ["c2"]
+        assert report.rejects == [(2, "ParseError"), (4, "ParseError")]
 
     def test_csv_error_rejected_at_its_line(self):
         # A bare \r in an unquoted cell is an error of the CSV reader itself.
@@ -573,7 +556,7 @@ class TestIterRecords:
         def stream():
             for i, line in enumerate([VALID_LINE, "{garbage", VALID_LINE], start=1):
                 lines_read.append(i)
-                yield line
+                yield line.encode("utf-8")
 
         report = IngestReport()
         records = iter_jsonl(stream(), report)
