@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from . import features, ingest
-from .model import CLAUSES, FeatureVector, Label, RuleConfig, Verdict, build_log, share_ids
+from .model import CLAUSES, FeatureVector, Label, RuleConfig, UserActivityLog, Verdict, share_ids
 
 
 def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
@@ -80,7 +80,7 @@ def score_corpus(
             for user_id, run in groupby(records, key=user_id_of):
                 if user_id in rows:  # the first repeat: this user's row is incomplete
                     break
-                values = features._feature_values(build_log(user_id, list(run)))
+                values = features._feature_values(UserActivityLog(user_id, run))
                 rows[user_id] = len(rows)
                 table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
             else:  # every run read: no user_id came back

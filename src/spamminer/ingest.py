@@ -37,7 +37,6 @@ from .model import (
     CommentRecord,
     UserActivityLog,
     ValidationError,
-    build_log,
     decode_record,
     parse_rfc3339,
     record_to_json,
@@ -263,11 +262,11 @@ def iter_csv(stream: Iterable[bytes], report: IngestReport) -> Iterator[CommentR
 
 
 def group_by_user(records: Iterable[CommentRecord]) -> list[UserActivityLog]:
-    """Group records into one built log per distinct user, sorted by user_id."""
+    """Group records into one log per distinct user, sorted by user_id."""
     by_user: dict[str, list[CommentRecord]] = defaultdict(list)
     for rec in records:
         by_user[rec.user_id].append(rec)
-    return [build_log(user_id, recs) for user_id, recs in sorted(by_user.items())]
+    return [UserActivityLog(user_id, recs) for user_id, recs in sorted(by_user.items())]
 
 
 # --- paged feed client -----------------------------------------------------
@@ -406,7 +405,7 @@ def fetch_user_log(
         records.extend(comments)
         if token is None:
             break
-    return FetchResult(log=build_log(user_id, share_ids(records)), truncated=token is not None)
+    return FetchResult(UserActivityLog(user_id, share_ids(records)), truncated=token is not None)
 
 
 # --- on-disk cache ---------------------------------------------------------
@@ -464,7 +463,8 @@ def cache_get(directory: str | os.PathLike, user_id: str) -> UserActivityLog | N
     """Load a user's log from the cache layout, or None when it has no file.
 
     Raises AllLinesRejected when the file has lines but none of them parse,
-    so a corrupt entry is never mistaken for an empty log.
+    so a corrupt entry is never mistaken for an empty log, and MixedUsers
+    when a record in it belongs to another user.
     """
     loaded = _read_user_file(directory, user_id)
     return None if loaded is None else loaded[0]
@@ -486,4 +486,4 @@ def _read_user_file(
         return None
     with open(path, "rb") as fh:
         records, report = parse_jsonl(fh)
-    return build_log(user_id, records), report
+    return UserActivityLog(user_id, records), report

@@ -86,8 +86,8 @@ class CommentRecord(_Value, namedtuple(
     them through share_ids, whose table of one string per distinct id is
     freed when it returns.
     timestamp_s is integer seconds since the Unix epoch (UTC), never negative.
-    comment_id is optional: trimmed, absent (None) when blank, and expected to
-    be unique in one user's log (build_log enforces this by deduplication).
+    comment_id is optional: trimmed, absent (None) when blank, and unique in
+    one user's log (UserActivityLog keeps the first record of each).
     A field of the wrong type (a bool is no int) is a ValidationError naming it.
 
     No string field may hold a lone UTF-16 surrogate (LoneSurrogate): JSON's
@@ -143,48 +143,32 @@ class CommentRecord(_Value, namedtuple(
 class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     """One user's recent comment records, ascending by timestamp.
 
-    Construct via build_log, which sorts, deduplicates, and checks ownership.
+    The constructor takes the records in any order, from any iterable. It
+    raises MixedUsers at the first record of another user, keeps the first
+    record of each comment_id (records without one are never deduplicated),
+    and sorts stably by timestamp, ties broken by comment_id then input
+    order. A log built from a log's own records is that log again.
     """
 
     __slots__ = ()
 
-    def __new__(cls, user_id: str, records: tuple[CommentRecord, ...]) -> UserActivityLog:
+    def __new__(cls, user_id: str, records: Iterable[CommentRecord]) -> UserActivityLog:
         seen_ids: set[str] = set()
-        times: list[int] = []
-        for uid, _, ts, _, _, cid in records:
-            if uid != user_id:
-                raise MixedUsers(f"record for {uid!r} in log of {user_id!r}")
+        kept: list[CommentRecord] = []
+        for rec in records:
+            if rec.user_id != user_id:
+                raise MixedUsers(f"record for {rec.user_id!r} in log of {user_id!r}")
+            cid = rec.comment_id
             if cid is not None:
                 if cid in seen_ids:
-                    raise ValueError(f"duplicate comment_id {cid!r}")
+                    continue
                 seen_ids.add(cid)
-            times.append(ts)
-        if times != sorted(times):
-            raise ValueError("records are not sorted by timestamp_s")
-        return tuple.__new__(cls, (user_id, records))
+            kept.append(rec)
+        kept.sort(key=lambda rec: (rec.timestamp_s, rec.comment_id or ""))
+        return tuple.__new__(cls, (user_id, tuple(kept)))
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def build_log(user_id: str, records: list[CommentRecord]) -> UserActivityLog:
-    """Assemble a UserActivityLog from unordered records.
-
-    Records are sorted ascending by timestamp, ties broken by comment_id then
-    input order. Duplicate comment_id values are collapsed keeping the first
-    occurrence (in input order); records without one, blank ones included,
-    are never deduplicated. Raises MixedUsers if any belongs to another user.
-    """
-    seen_ids: set[str] = set()
-    deduped: list[CommentRecord] = []
-    for rec in records:
-        if rec.comment_id is not None:
-            if rec.comment_id in seen_ids:
-                continue
-            seen_ids.add(rec.comment_id)
-        deduped.append(rec)
-    deduped.sort(key=lambda rec: (rec.timestamp_s, rec.comment_id or ""))
-    return UserActivityLog(user_id=user_id, records=tuple(deduped))
 
 
 class FeatureVector(_Value, namedtuple(

@@ -27,7 +27,6 @@ from spamminer.model import (
     UserActivityLog,
     ValidationError,
     Verdict,
-    build_log,
     decode_record,
     parse_rfc3339,
 )
@@ -50,7 +49,22 @@ def make_log(user="u1", rows=()) -> UserActivityLog:
         video = row[2] if len(row) > 2 else "v1"
         hint = row[3] if len(row) > 3 else False
         records.append(make_record(user=user, video=video, ts=ts, text=text, hint=hint))
-    return build_log(user, records)
+    return UserActivityLog(user, records)
+
+
+def reference_log_records(records: list[CommentRecord]) -> tuple[CommentRecord, ...]:
+    """The records a log of these holds, found the plain way, as an oracle for UserActivityLog.
+
+    First drop every record whose comment_id an earlier record holds, then
+    order the rest by timestamp, comment_id (absent as "") and input
+    position. It does not check whose records they are.
+    """
+    kept = [rec for i, rec in enumerate(records)
+            if rec.comment_id is None
+            or all(other.comment_id != rec.comment_id for other in records[:i])]
+    order = sorted(range(len(kept)),
+                   key=lambda i: (kept[i].timestamp_s, kept[i].comment_id or "", i))
+    return tuple(kept[i] for i in order)
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -259,7 +273,7 @@ def random_log(rng: random.Random, n: int, user="u1") -> UserActivityLog:
         )
         for i in range(n)
     ]
-    return build_log(user, records)
+    return UserActivityLog(user, records)
 
 
 def random_log_suite(seed: int, count: int, n_max: int = 50) -> list[UserActivityLog]:

@@ -28,7 +28,7 @@ from spamminer.model import (
     Indicator,
     Label,
     RuleConfig,
-    build_log,
+    UserActivityLog,
     record_to_json,
 )
 from spamminer.report import FIGURE_IDS, figure_csv, figure_dataset, summarize, svg_scatter
@@ -151,10 +151,10 @@ def test_criterion_4_metric_invariants():
             # permutation invariance
             shuffled = list(log.records)
             shuffler.shuffle(shuffled)
-            assert feature_vector(build_log(log.user_id, shuffled)) == fv
+            assert feature_vector(UserActivityLog(log.user_id, shuffled)) == fv
 
             # timestamp translation invariance
-            shifted = build_log(
+            shifted = UserActivityLog(
                 log.user_id,
                 [
                     make_record(user=rec.user_id, video=rec.video_id,
@@ -169,7 +169,7 @@ def test_criterion_4_metric_invariants():
             unflagged = [i for i, rec in enumerate(log.records) if not rec.has_spam_hint]
             if unflagged:
                 flip_at = unflagged[0]
-                flipped = build_log(
+                flipped = UserActivityLog(
                     log.user_id,
                     [
                         make_record(user=rec.user_id, video=rec.video_id,
@@ -215,12 +215,12 @@ def test_criterion_5_synthetic_benchmark(tmp_path):
 
 def test_criterion_6_round_trip_and_robustness(tmp_path):
     with criterion("criterion 6: round-trip identity and skip-and-report robustness"):
-        # serialize -> parse -> build_log is the identity on 100 random logs
+        # serialize -> parse -> UserActivityLog is the identity on 100 random logs
         for log in random_log_suite(4242, count=100, n_max=30):
             payload = "".join(record_to_json(rec) + "\n" for rec in log.records)
             records, report = parse_jsonl(io.BytesIO(payload.encode("utf-8")))
             assert report.rejected == 0
-            assert build_log(log.user_id, records) == log
+            assert UserActivityLog(log.user_id, records) == log
 
         # 10% malformed corpus: the other 90% ingests, line numbers exact
         corpus = generate([s for s in benchmark_specs() if s.count == 100], 6)

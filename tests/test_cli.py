@@ -27,10 +27,12 @@ from spamminer.cli import (
     EXIT_USAGE,
     main,
 )
-from spamminer.model import build_log, format_rfc3339, record_to_json, verdict_to_json
+from spamminer.model import UserActivityLog, format_rfc3339, record_to_json, verdict_to_json
 from spamminer.synth import PersonaKind, PersonaSpec, generate, write_corpus
 
-from helpers import FeedServer, MockFeed, MockUser, feed_page_records, make_log, make_record
+from helpers import (
+    FeedServer, MockFeed, MockUser, encode_record, feed_page_records, make_log, make_record,
+)
 
 
 @pytest.fixture
@@ -650,6 +652,40 @@ class TestFetch:
         assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
         assert "fetched 1/2 users" in err
 
+    def test_foreign_record_repeating_a_comment_id_in_directory_file(self, tmp_path, capsys):
+        # The foreign record holds the comment_id of the user's own record before it:
+        # it is another user's record, not a duplicate to drop.
+        feed_dir = tmp_path / "feed"
+        feed_dir.mkdir()
+        (feed_dir / "u1.jsonl").write_text(
+            record_to_json(make_record(user="u1", ts=1, cid="c1")) + "\n"
+            + record_to_json(make_record(user="u2", ts=2, cid="c1")) + "\n", encoding="utf-8")
+        users = tmp_path / "users.txt"
+        users.write_text("u1\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        code = main(["fetch", "--endpoint", str(feed_dir), "--users", str(users),
+                     "--cache", str(cache_dir)])
+        assert code == EXIT_IO
+        assert not (cache_dir / "u1.jsonl").exists()
+        assert "fetch failed for 'u1': record for 'u2' in log of 'u1'" in capsys.readouterr().err
+
+    def test_foreign_record_repeating_a_comment_id_on_feed_page(self, tmp_path, capsys):
+        page = [encode_record(make_record(user=user, ts=ts, cid="c1"))
+                for user, ts in (("bob", 1), ("alice", 2))]
+        feed = MockFeed(users={"bob": MockUser(pages=[page]),
+                               "carol": MockUser(pages=[feed_page_records("carol", 0, 3)])})
+        users = tmp_path / "users.txt"
+        users.write_text("bob\ncarol\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        with FeedServer(feed) as server:
+            code = main(["fetch", "--endpoint", server.base_url, "--users", str(users),
+                         "--cache", str(cache_dir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["carol.jsonl"]
+        err = capsys.readouterr().err
+        assert "fetch failed for 'bob': record for 'alice' in log of 'bob'" in err
+        assert "fetched 1/2 users" in err
+
     def test_lone_surrogate_in_directory_file(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         feed_dir.mkdir()
@@ -742,7 +778,8 @@ class TestFetch:
 
     def test_users_file_split_only_at_newline(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
-        ingest.cache_put(feed_dir, build_log("a\u2028b", [make_record(user="a\u2028b", ts=1)]))
+        user = "a\u2028b"
+        ingest.cache_put(feed_dir, UserActivityLog(user, [make_record(user=user, ts=1)]))
         assert [p.name for p in feed_dir.iterdir()] == ["a%E2%80%A8b.jsonl"]
         users = tmp_path / "users.txt"
         users.write_text("a\u2028b\r\n", encoding="utf-8")
@@ -776,7 +813,7 @@ class TestFetch:
     def test_directory_file_name_too_long(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         for uid in ("alice", "bob"):
-            ingest.cache_put(feed_dir, build_log(uid, [make_record(user=uid, ts=1)]))
+            ingest.cache_put(feed_dir, UserActivityLog(uid, [make_record(user=uid, ts=1)]))
         long_id = "\u00e9" * 50  # 300 bytes once percent-encoded
         users = tmp_path / "users.txt"
         users.write_text(f"alice\n{long_id}\nbob\n", encoding="utf-8")
@@ -804,7 +841,7 @@ class TestFetch:
     @staticmethod
     def _stub_fetch(monkeypatch):
         def fetch_user_log(endpoint, user_id, page_limit):
-            return ingest.FetchResult(build_log(user_id, [make_record(user=user_id, ts=1)]))
+            return ingest.FetchResult(UserActivityLog(user_id, [make_record(user=user_id, ts=1)]))
 
         monkeypatch.setattr(ingest, "fetch_user_log", fetch_user_log)
 
@@ -1151,11 +1188,11 @@ class TestInputOrder:
         corpus.write_bytes(_render(records, fmt))
         logs = {}  # user_id -> the last log score_corpus built for it: the whole read's
 
-        def keeping_build_log(user_id, recs):
-            logs[user_id] = log = build_log(user_id, recs)
+        def keeping_log(user_id, recs):
+            logs[user_id] = log = UserActivityLog(user_id, recs)
             return log
 
-        monkeypatch.setattr(classifier, "build_log", keeping_build_log)
+        monkeypatch.setattr(classifier, "UserActivityLog", keeping_log)
         assert main(["score", "--input", str(corpus), "--format", fmt,
                      "--output", str(tmp_path / "verdicts.jsonl")]) == EXIT_OK
 

@@ -20,7 +20,7 @@ from spamminer.features import (
     pchf,
     vidovp,
 )
-from spamminer.model import build_log
+from spamminer.model import UserActivityLog
 
 from helpers import brute_atdc, brute_pair_fraction, make_log, make_record
 
@@ -178,7 +178,7 @@ class TestFeatureVectorAssembly:
 # --- property tests over random logs ----------------------------------------
 
 log_strategy = st.builds(
-    lambda rows: build_log(
+    lambda rows: UserActivityLog(
         "u1",
         [
             make_record(user="u1", video=video, ts=ts, text=text, hint=hint)
@@ -220,8 +220,8 @@ def test_counting_formula_matches_brute_force(log):
                 max_size=12))
 def test_census_matches_brute_force_with_mostly_distinct_texts(rows):
     """Logs with no, one or few matching texts, where the census takes its short cuts."""
-    log = build_log("u1", [make_record(ts=i, text=text, video=video)
-                           for i, (text, video) in enumerate(rows)])
+    log = UserActivityLog("u1", [make_record(ts=i, text=text, video=video)
+                                 for i, (text, video) in enumerate(rows)])
     pairs = [(normalize_text(text), video) for text, video in rows]
     assert crr(log) == brute_pair_fraction(pairs, lambda a, b: a[0] == b[0])
     assert vidovp(log) == brute_pair_fraction(pairs, lambda a, b: a[1] != b[1])
@@ -235,7 +235,7 @@ def test_permutation_invariance(log, rnd):
     fv = feature_vector(log)
     shuffled = list(log.records)
     rnd.shuffle(shuffled)
-    fv_shuffled = feature_vector(build_log("u1", shuffled))
+    fv_shuffled = feature_vector(UserActivityLog("u1", shuffled))
     assert fv == fv_shuffled
 
 
@@ -254,7 +254,7 @@ def test_bounds_and_dominance(log):
 
 @given(log_strategy, st.integers(min_value=0, max_value=1_000_000))
 def test_atdc_translation_invariance(log, shift):
-    shifted = build_log(
+    shifted = UserActivityLog(
         "u1",
         [
             make_record(
@@ -275,7 +275,7 @@ def test_pchf_single_flag_flip(log, pick):
         return
     flip_at = unflagged[pick % len(unflagged)]
     n = len(log.records)
-    flipped = build_log(
+    flipped = UserActivityLog(
         "u1",
         [
             make_record(

@@ -32,7 +32,7 @@ from spamminer.ingest import (
     parse_jsonl,
     user_file,
 )
-from spamminer.model import build_log, record_to_json
+from spamminer.model import UserActivityLog, record_to_json
 
 from helpers import (
     FeedServer,
@@ -197,7 +197,7 @@ class TestRoundTrip:
             payload = "".join(record_to_json(rec) + "\n" for rec in log.records)
             records, report = parse_jsonl(io.BytesIO(payload.encode("utf-8")))
             assert report.rejected == 0
-            assert build_log(log.user_id, records) == log
+            assert UserActivityLog(log.user_id, records) == log
 
 
 CSV_HEADER = "user_id,comment_id,video_id,published_at,text,has_spam_hint"
@@ -577,8 +577,8 @@ class TestCache:
         assert cache_get(tmp_path, "ghost") is None
 
     def test_put_twice_replaces(self, tmp_path):
-        log1 = build_log("u1", [make_record(ts=1, text="old")])
-        log2 = build_log("u1", [make_record(ts=2, text="new"), make_record(ts=3)])
+        log1 = UserActivityLog("u1", [make_record(ts=1, text="old")])
+        log2 = UserActivityLog("u1", [make_record(ts=2, text="new"), make_record(ts=3)])
         cache_put(tmp_path, log1)
         cache_put(tmp_path, log2)
         assert cache_get(tmp_path, "u1") == log2
@@ -588,7 +588,7 @@ class TestCache:
     @pytest.mark.parametrize("user_id", ["../escape", "a/b", "50%/x", "é", "a b", ".."])
     def test_user_id_stays_inside_directory(self, tmp_path, user_id):
         cache_dir = tmp_path / "cache"
-        log = build_log(user_id, [make_record(user=user_id, ts=1, cid="c1")])
+        log = UserActivityLog(user_id, [make_record(user=user_id, ts=1, cid="c1")])
         path = cache_put(cache_dir, log)
         assert path.parent == cache_dir
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
@@ -599,7 +599,7 @@ class TestCache:
         assert fetch_user_log(cache_dir, user_id).log == log
 
     def test_corrupt_entry_raises(self, tmp_path):
-        cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+        cache_put(tmp_path, UserActivityLog("u1", [make_record(ts=1)]))
         (tmp_path / "u1.jsonl").write_text("not json\n{\"user_id\": null}\n", encoding="utf-8")
         with pytest.raises(AllLinesRejected):
             cache_get(tmp_path, "u1")
@@ -610,7 +610,7 @@ class TestCache:
 
         monkeypatch.setattr(os, "replace", disk_full)
         with pytest.raises(OSError) as info:
-            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+            cache_put(tmp_path, UserActivityLog("u1", [make_record(ts=1)]))
         assert (info.value.errno, info.value.filename, info.value.filename2) == (
             errno.ENOSPC, os.path.join(tmp_path, "u1.jsonl"), None)
         assert ".tmp-" in info.value.__cause__.filename
@@ -622,7 +622,7 @@ class TestCache:
 
         monkeypatch.setattr(os, "replace", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+            cache_put(tmp_path, UserActivityLog("u1", [make_record(ts=1)]))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_temp_file_removal_is_swallowed(self, tmp_path, monkeypatch):
@@ -635,7 +635,7 @@ class TestCache:
         monkeypatch.setattr(os, "replace", disk_full)
         monkeypatch.setattr(os, "unlink", unlink)
         with pytest.raises(OSError) as info:
-            cache_put(tmp_path, build_log("u1", [make_record(ts=1)]))
+            cache_put(tmp_path, UserActivityLog("u1", [make_record(ts=1)]))
         assert (info.value.errno, info.value.filename) == (
             errno.ENOSPC, os.path.join(tmp_path, "u1.jsonl"))
 
@@ -643,7 +643,7 @@ class TestCache:
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("", encoding="utf-8")
         with pytest.raises(NotADirectoryError) as info:
-            cache_put(not_a_dir, build_log("u1", [make_record(ts=1)]))
+            cache_put(not_a_dir, UserActivityLog("u1", [make_record(ts=1)]))
         assert info.value.filename == not_a_dir
 
 

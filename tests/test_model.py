@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from spamminer.model import (
     UserActivityLog,
     ValidationError,
     Verdict,
-    build_log,
     decode_record,
     format_rfc3339,
     parse_rfc3339,
@@ -44,6 +43,7 @@ from helpers import (
     encode_verdict,
     make_record,
     reference_format_rfc3339,
+    reference_log_records,
     reference_parse_rfc3339,
 )
 
@@ -158,99 +158,104 @@ class TestValidateRecord:
 class TestBuildLog:
     def test_sorts_by_timestamp(self):
         records = [make_record(ts=t) for t in (30, 10, 20)]
-        log = build_log("u1", records)
+        log = UserActivityLog("u1", records)
         assert [rec.timestamp_s for rec in log.records] == [10, 20, 30]
 
     def test_tie_break_by_comment_id(self):
         records = [make_record(ts=5, cid="b"), make_record(ts=5, cid="a")]
-        log = build_log("u1", records)
+        log = UserActivityLog("u1", records)
         assert [rec.comment_id for rec in log.records] == ["a", "b"]
 
     def test_dedup_keeps_first_occurrence(self):
         first = make_record(ts=10, cid="c1", text="first")
         second = make_record(ts=20, cid="c1", text="second")
-        log = build_log("u1", [first, second])
+        log = UserActivityLog("u1", [first, second])
         assert len(log) == 1
         assert log.records[0].text == "first"
 
     def test_missing_comment_id_never_deduplicated(self):
         records = [make_record(ts=1), make_record(ts=1), make_record(ts=1)]
-        assert len(build_log("u1", records)) == 3
+        assert len(UserActivityLog("u1", records)) == 3
 
     def test_mixed_users_rejected(self):
         with pytest.raises(MixedUsers):
-            build_log("u1", [make_record(user="u2")])
+            UserActivityLog("u1", [make_record(user="u2")])
 
     def test_equal_timestamps_are_legal(self):
-        log = build_log("u1", [make_record(ts=7, cid="a"), make_record(ts=7, cid="b")])
+        log = UserActivityLog("u1", [make_record(ts=7, cid="a"), make_record(ts=7, cid="b")])
         assert len(log) == 2
-
-    def test_direct_construction_checks_order(self):
-        with pytest.raises(ValueError):
-            UserActivityLog("u1", (make_record(ts=10), make_record(ts=5)))
-
-    def test_direct_construction_checks_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate comment_id 'c7'"):
-            UserActivityLog("u1", (make_record(ts=1, cid="c7"), make_record(ts=2, cid="c7")))
 
     def test_direct_construction_checks_owner(self):
         records = (make_record(ts=1), make_record(user="u2", ts=2), make_record(user="u3", ts=3))
         with pytest.raises(MixedUsers, match="'u2' in log of 'u1'"):
             UserActivityLog("u1", records)
 
-    def test_direct_construction_names_first_fault(self):
-        dup_first = (make_record(ts=1, cid="c1"), make_record(ts=2, cid="c1"),
-                     make_record(user="u2", ts=3))
-        with pytest.raises(ValueError, match="duplicate comment_id 'c1'") as excinfo:
-            UserActivityLog("u1", dup_first)
-        assert not isinstance(excinfo.value, MixedUsers)
-        foreign_first = (make_record(ts=1, cid="c1"), make_record(user="u2", ts=2),
-                         make_record(ts=3, cid="c1"))
-        with pytest.raises(MixedUsers):
-            UserActivityLog("u1", foreign_first)
+    def test_foreign_record_repeating_a_comment_id_rejected(self):
+        # Ownership is checked before deduplication: a record of another user
+        # is no duplicate of the user's own record, whatever its comment_id.
+        records = [make_record(ts=3, cid="c1"), make_record(ts=1, cid="c1"),
+                   make_record(user="u2", ts=2, cid="c1")]
+        with pytest.raises(MixedUsers, match="'u2' in log of 'u1'"):
+            UserActivityLog("u1", records)
+        with pytest.raises(MixedUsers, match="'u2' in log of 'u1'"):
+            UserActivityLog("u1", records[::2])
+
+    def test_records_from_any_iterable(self):
+        records = [make_record(ts=t, cid=f"c{t}") for t in (3, 1, 2)]
+        log = UserActivityLog("u1", iter(records))
+        assert log == UserActivityLog("u1", records)
+        assert [rec.timestamp_s for rec in log.records] == [1, 2, 3]
+        assert type(log.records) is tuple
 
     def test_value_types_have_no_instance_dict(self):
-        log = build_log("u1", [make_record(ts=1)])
+        log = UserActivityLog("u1", [make_record(ts=1)])
         fv = FeatureVector("u1", 1, None, 0.0, 0.0, 0.0, 0.0)
         verdict = Verdict("u1", Label.LEGIT, frozenset(), fv)
         for obj in (log, fv, verdict):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
-record_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(["a", "b", "c"]),
-        st.one_of(st.none(), st.sampled_from(["c1", "c2", "c3", "c4", "c5"])),
-    ),
-    max_size=20,
+# (timestamp_s, text, comment_id): few values, so ties and repeated comment_ids are common.
+record_row = st.tuples(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["a", "b", "c"]),
+    st.one_of(st.none(), st.sampled_from(["c1", "c2", "c3", "c4", "c5"])),
 )
+record_rows = st.lists(record_row, max_size=20)
+
+
+def _records(rows, user="u1") -> list[CommentRecord]:
+    return [make_record(user=user, ts=ts, text=text, cid=cid) for ts, text, cid in rows]
+
+
+@given(record_rows, st.randoms(use_true_random=False))
+def test_log_equals_reference_in_any_input_order(rows, rng):
+    records = _records(rows)
+    rng.shuffle(records)
+    assert UserActivityLog("u1", records) == ("u1", reference_log_records(records))
 
 
 @given(record_rows)
-def test_build_log_idempotent(rows):
-    records = [make_record(ts=ts, text=text, cid=cid) for ts, text, cid in rows]
-    once = build_log("u1", records)
-    twice = build_log("u1", list(once.records))
-    assert once == twice
+def test_log_of_its_own_records_is_the_same_log(rows):
+    once = UserActivityLog("u1", _records(rows))
+    assert UserActivityLog("u1", once.records) == once
 
 
 @given(record_rows)
-def test_build_log_output_is_permutation_of_deduped_input(rows):
-    records = [make_record(ts=ts, text=text, cid=cid) for ts, text, cid in rows]
-    seen: set[str] = set()
-    expected = []
-    for rec in records:
-        if rec.comment_id is not None:
-            if rec.comment_id in seen:
-                continue
-            seen.add(rec.comment_id)
-        expected.append(rec)
-    log = build_log("u1", records)
-    assert Counter(log.records) == Counter(expected)
-    assert [r.timestamp_s for r in log.records] == sorted(
-        r.timestamp_s for r in log.records
-    )
+def test_pickle_and_replace_give_the_same_log(rows):
+    log = UserActivityLog("u1", _records(rows))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(log, protocol)) == log
+    assert log._replace(records=log.records) == log
+
+
+@given(record_rows, record_row, st.data())
+def test_one_foreign_record_at_any_position_rejected(rows, foreign, data):
+    records = _records(rows)
+    position = data.draw(st.integers(min_value=0, max_value=len(records)), label="position")
+    records[position:position] = _records([foreign], user="u2")
+    with pytest.raises(MixedUsers, match="'u2' in log of 'u1'"):
+        UserActivityLog("u1", records)
 
 
 class TestTimestamps:
