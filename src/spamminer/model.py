@@ -322,6 +322,11 @@ _RFC3339 = re.compile(
     r"(?:[Zz]|([+-][0-9]{2}:[0-5][0-9]))?"
 )
 
+# YYYY-MM-DD(T|t)HH:MM:SS(Z|z), the form format_rfc3339 writes; no groups.
+_RFC3339_UTC = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}[Zz]")
+
+# 1970-01-01 as a proleptic Gregorian ordinal (date.toordinal).
+_EPOCH_ORDINAL = 719163
 
 # 9999-12-31T23:59:59Z, the last instant format_rfc3339 can write.
 _MAX_TIMESTAMP_S = 253402300799
@@ -335,7 +340,21 @@ def parse_rfc3339(value: str) -> int:
     more (datetime checks those), or an instant after 9999-12-31T23:59:59Z
     (a local year-9999 time with a negative offset), which could not be
     written back.
+
+    Two paths give the same results. The canonical UTC form (no fraction,
+    `Z` or `z`) is read by datetime.fromisoformat on its first 19
+    characters, which checks every field range, and counted in days and
+    seconds from the epoch. Every other value, and every value that path
+    rejects, goes to the general path, so each ValueError comes from there.
     """
+    if _RFC3339_UTC.fullmatch(value):
+        try:
+            local = datetime.fromisoformat(value[:19])
+        except ValueError:
+            pass
+        else:
+            return ((local.toordinal() - _EPOCH_ORDINAL) * 86400
+                    + local.hour * 3600 + local.minute * 60 + local.second)
     match = _RFC3339.fullmatch(value)
     if match is None:
         raise ValueError(f"not an RFC3339 timestamp: {value!r}")

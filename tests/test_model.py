@@ -258,6 +258,23 @@ def test_one_foreign_record_at_any_position_rejected(rows, foreign, data):
         UserActivityLog("u1", records)
 
 
+# Per-position alphabets of YYYY-MM-DDTHH:MM:SSZ. The leading digit of each
+# field runs past its range (month 19, day 39, hour 29, minute and second 69).
+_CANONICAL_SHAPE = (
+    "0129", *["0123456789"] * 3, "-/", "012", "0123456789", "-", "0123", "0123456789",
+    "Tt ", "012", "0123456789", ":", "0123456", "0123456789", ":", "0123456",
+    "0123456789", "Zz",
+)
+
+
+def _outcome(parse, value):
+    """parse(value), or ValueError if it raises one."""
+    try:
+        return parse(value)
+    except ValueError:
+        return ValueError
+
+
 class TestTimestamps:
     def test_parse_z_suffix(self):
         assert parse_rfc3339("1970-01-01T00:01:40Z") == 100
@@ -333,6 +350,41 @@ class TestTimestamps:
         canonical = (f"{date}T{time}{'.' + fraction.ljust(6, '0')[:6] if fraction else ''}"
                      f"{offset.upper()}")
         assert parse_rfc3339(value) == reference_parse_rfc3339(canonical)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("0001-01-01T00:00:00Z", -62135596800),
+        ("9999-12-31t23:59:59z", 253402300799),
+        ("2000-02-29T00:00:00Z", 951782400),
+    ])
+    def test_canonical_form_reaches_both_end_days(self, value, expected):
+        assert parse_rfc3339(value) == parse_rfc3339(value[:-1] + "+00:00") == expected
+
+    @pytest.mark.parametrize("value", [
+        "1900-02-29T00:00:00Z",
+        "0000-01-01T00:00:00Z",
+        "2021-06-01T24:00:00Z",
+        "2021-06-01T12:60:00Z",
+        "2021-06-01T12:00:60Z",
+    ])
+    def test_canonical_form_rejects_as_its_offset_spelling(self, value):
+        with pytest.raises(ValueError) as offset_error:
+            parse_rfc3339(value[:-1] + "+00:00")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(offset_error.value))}$"):
+            parse_rfc3339(value)
+
+    @given(
+        st.tuples(*(st.sampled_from(chars) for chars in _CANONICAL_SHAPE)),
+        st.lists(st.tuples(st.integers(0, len(_CANONICAL_SHAPE) - 2),
+                           st.sampled_from("٠²/ TtZz0")), max_size=2),
+    )
+    def test_canonical_shape_parses_as_its_offset_spelling(self, chars, edits):
+        # The last character, Z or z, stays, so both spellings name the same instant.
+        chars = list(chars)
+        for position, char in edits:
+            chars[position] = char
+        value = "".join(chars)
+        assert _outcome(parse_rfc3339, value) == _outcome(parse_rfc3339,
+                                                          value[:-1] + "+00:00")
 
 
 def _modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
