@@ -25,7 +25,7 @@ import re
 import sys
 import time
 from collections import namedtuple
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, NamedTuple
@@ -315,18 +315,14 @@ class Verdict(_Value, namedtuple("Verdict", "user_id label triggered features"))
 
 # --- timestamp wire format -------------------------------------------------
 
-# YYYY-MM-DD(T|t)HH:MM:SS[.digits][Z|z|±HH:MM], ASCII digits only; groups are
-# the date, the time and the numeric offset.
+# YYYY-MM-DD(T|t)HH:MM:SS[.digits][Z|z|±HH:MM], ASCII digits only; the one
+# group is the numeric offset. Each optional part is an alternative with an
+# empty branch, `(?:...|)`, which the re engine matches faster than `(?:...)?`.
 _RFC3339 = re.compile(
-    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
-    r"(?:[Zz]|([+-][0-9]{2}:[0-5][0-9]))?"
+    r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(?:\.\d+|)(?:[Zz]|([+-]\d\d:[0-5]\d)|)", re.ASCII
 )
 
-# YYYY-MM-DD(T|t)HH:MM:SS(Z|z), the form format_rfc3339 writes; no groups.
-_RFC3339_UTC = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}[Zz]")
-
-# 1970-01-01 as a proleptic Gregorian ordinal (date.toordinal).
-_EPOCH_ORDINAL = 719163
+_EPOCH = datetime(1970, 1, 1)
 
 # 9999-12-31T23:59:59Z, the last instant format_rfc3339 can write.
 _MAX_TIMESTAMP_S = 253402300799
@@ -341,25 +337,24 @@ def parse_rfc3339(value: str) -> int:
     (a local year-9999 time with a negative offset), which could not be
     written back.
 
-    Two paths give the same results. The canonical UTC form (no fraction,
-    `Z` or `z`) is read by datetime.fromisoformat on its first 19
-    characters, which checks every field range, and counted in days and
-    seconds from the epoch. Every other value, and every value that path
-    rejects, goes to the general path, so each ValueError comes from there.
+    datetime.fromisoformat reads the first 19 characters, the local date
+    and time, as a naive datetime, and the numeric offset, if any, is
+    subtracted from its seconds since the epoch. The offset is checked
+    first, so a value with a bad offset and a bad field gets the offset's
+    error, as fromisoformat raises it.
     """
-    if _RFC3339_UTC.fullmatch(value):
-        try:
-            local = datetime.fromisoformat(value[:19])
-        except ValueError:
-            pass
-        else:
-            return ((local.toordinal() - _EPOCH_ORDINAL) * 86400
-                    + local.hour * 3600 + local.minute * 60 + local.second)
     match = _RFC3339.fullmatch(value)
     if match is None:
         raise ValueError(f"not an RFC3339 timestamp: {value!r}")
-    date, clock, offset = match.groups()
-    timestamp_s = int(datetime.fromisoformat(f"{date}T{clock}{offset or '+00:00'}").timestamp())
+    offset = match[1]
+    if offset is None:
+        offset_s = 0
+    else:
+        offset_s = int(offset[:3]) * 3600 + int(offset[0] + offset[4:]) * 60
+        if not -86400 < offset_s < 86400:
+            timezone(timedelta(seconds=offset_s))  # raises datetime's own ValueError
+    elapsed = datetime.fromisoformat(value[:19]) - _EPOCH
+    timestamp_s = elapsed.days * 86400 + elapsed.seconds - offset_s
     if timestamp_s > _MAX_TIMESTAMP_S:
         raise ValueError(f"timestamp after 9999-12-31T23:59:59Z: {value!r}")
     return timestamp_s

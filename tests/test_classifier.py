@@ -16,10 +16,8 @@ from spamminer.model import (
     RuleConfig,
     format_rfc3339,
     record_to_json,
-    verdict_to_json,
 )
 from spamminer.report import summarize
-from spamminer.synth import PersonaKind, PersonaSpec, generate
 
 from helpers import make_record
 
@@ -170,47 +168,6 @@ class TestScoreCorpus:
 
         assert labels(jsonl) == labels(str(csv_path), format="csv") == [Label.SPAMMER]
         assert labels(jsonl, config=RuleConfig(min_comments=7)) == [Label.INSUFFICIENT]
-
-    @pytest.mark.parametrize("spelled", [False, True], ids=["canonical", "spelled"])
-    def test_verdicts_do_not_depend_on_the_timestamp_spelling(self, tmp_path, spelled):
-        # Canonical stamps take the parser's short path; the other spellings of the
-        # same instants take its general one. Both must give the same bytes.
-        specs = [PersonaSpec(kind, 2) for kind in PersonaKind]
-        records = generate(specs, 17).records
-
-        def stamp(index, timestamp_s):
-            canonical = format_rfc3339(timestamp_s)
-            if not spelled:
-                return canonical
-            return (canonical[:-1] + "+00:00", canonical[:-1] + ".000Z",
-                    canonical.replace("T", "t").replace("Z", "z"),
-                    format_rfc3339(timestamp_s + 3600)[:-1] + "+01:00")[index % 4]
-
-        jsonl = tmp_path / "corpus.jsonl"
-        with open(jsonl, "w", encoding="utf-8") as fh:
-            for index, rec in enumerate(records):
-                canonical = f'"published_at": "{format_rfc3339(rec.timestamp_s)}"'
-                line = record_to_json(rec).replace(
-                    canonical, f'"published_at": "{stamp(index, rec.timestamp_s)}"')
-                fh.write(line + "\n")
-        csv_path = tmp_path / "corpus.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow((*CSV_REQUIRED_COLUMNS, "comment_id"))
-            for index, rec in enumerate(records):
-                writer.writerow((rec.user_id, rec.video_id, stamp(index, rec.timestamp_s),
-                                 rec.text, str(rec.has_spam_hint).lower(), rec.comment_id))
-
-        def encoded(path, fmt):
-            report, verdicts = score_corpus(path, format=fmt)
-            lines = "".join(verdict_to_json(verdict) + "\n" for verdict in verdicts)
-            assert (report.accepted, report.rejects) == (len(records), [])
-            return lines
-
-        verdicts = [classify(feature_vector(log)) for log in group_by_user(records)]
-        assert {Label.SPAMMER, Label.LEGIT} <= {verdict.label for verdict in verdicts}
-        expected = "".join(verdict_to_json(verdict) + "\n" for verdict in verdicts)
-        assert encoded(jsonl, "jsonl") == encoded(csv_path, "csv") == expected
 
     @pytest.mark.parametrize("fmt, content, error", [
         ("jsonl", b"not json\nstill not json\n", AllLinesRejected),
