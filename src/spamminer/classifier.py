@@ -27,7 +27,7 @@ def classify(fv: FeatureVector, cfg: RuleConfig = RuleConfig()) -> Verdict:
     """Apply the threshold rule to one feature vector."""
     if fv.n_comments <= cfg.min_comments:
         return Verdict(fv.user_id, Label.INSUFFICIENT, frozenset(), fv)
-    triggered = frozenset(clause.indicator for clause in CLAUSES if clause.fires(fv, cfg))
+    triggered = frozenset([clause.indicator for clause in CLAUSES if clause.fires(fv, cfg)])
     label = Label.SPAMMER if triggered else Label.LEGIT
     return Verdict(fv.user_id, label, triggered, fv)
 

@@ -157,15 +157,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg, verdicts = _score(args)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    labels = {label.value: 0 for label in Label}
+    labels = dict.fromkeys(Label, 0)
     # Each verdict is written as it is made, so only one is alive at a time.
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for verdict in verdicts:
             fh.write(verdict_to_json(verdict) + "\n")
             if args.explain:
                 _warn(_explain(verdict, cfg))
-            labels[verdict.label.value] += 1
-    _warn(f"scored {sum(labels.values())} users: {labels}")
+            labels[verdict.label] += 1
+    counts = {label.value: count for label, count in labels.items()}
+    _warn(f"scored {sum(counts.values())} users: {counts}")
     return EXIT_OK
 
 

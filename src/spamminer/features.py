@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from operator import mul
+from operator import attrgetter, mul
 
 from .model import FeatureVector, UserActivityLog
 
 MODE_CANONICAL = "canonical"
+
+_TIMESTAMP = attrgetter("timestamp_s")
+_HAS_SPAM_HINT = attrgetter("has_spam_hint")  # a bool, so the sum counts the flagged
 
 
 def normalize_text(raw: str) -> str:
@@ -72,10 +75,7 @@ def atdc(log: UserActivityLog) -> float | None:
     n = len(log.records)
     if n < 2:
         return None
-    total = 0
-    for k, rec in enumerate(log.records):
-        total += rec.timestamp_s * (2 * k - n + 1)
-    return total / _pair_count(n)
+    return sum(map(mul, map(_TIMESTAMP, log.records), range(1 - n, n, 2))) / _pair_count(n)
 
 
 def pchf(log: UserActivityLog) -> float:
@@ -83,8 +83,7 @@ def pchf(log: UserActivityLog) -> float:
     n = len(log.records)
     if n == 0:
         return 0.0
-    flagged = sum(1 for rec in log.records if rec.has_spam_hint)
-    return 100 * flagged / n
+    return 100 * sum(map(_HAS_SPAM_HINT, log.records)) / n
 
 
 def _pair_census(log: UserActivityLog) -> tuple[float, float, float]:

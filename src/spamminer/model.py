@@ -140,6 +140,10 @@ class CommentRecord(_Value, namedtuple(
         return tuple.__new__(cls, (user_id, video_id, timestamp_s, text, has_spam_hint, comment_id))
 
 
+# UserActivityLog's sort key when every record has a comment_id, which is then never blank.
+_TIME_AND_ID = operator.attrgetter("timestamp_s", "comment_id")
+
+
 class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     """One user's recent comment records, ascending by timestamp.
 
@@ -155,16 +159,22 @@ class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     def __new__(cls, user_id: str, records: Iterable[CommentRecord]) -> UserActivityLog:
         seen_ids: set[str] = set()
         kept: list[CommentRecord] = []
+        all_ids = True
         for rec in records:
             if rec.user_id != user_id:
                 raise MixedUsers(f"record for {rec.user_id!r} in log of {user_id!r}")
             cid = rec.comment_id
-            if cid is not None:
-                if cid in seen_ids:
-                    continue
+            if cid is None:
+                all_ids = False
+            elif cid in seen_ids:
+                continue
+            else:
                 seen_ids.add(cid)
             kept.append(rec)
-        kept.sort(key=lambda rec: (rec.timestamp_s, rec.comment_id or ""))
+        if all_ids:
+            kept.sort(key=_TIME_AND_ID)
+        else:
+            kept.sort(key=lambda rec: (rec.timestamp_s, rec.comment_id or ""))
         return tuple.__new__(cls, (user_id, tuple(kept)))
 
     def __len__(self) -> int:
@@ -197,9 +207,10 @@ class FeatureVector(_Value, namedtuple(
             raise ValueError(f"atdc_s must be finite and non-negative: {atdc_s}")
         if not 0.0 <= pchf_pct <= 100.0:
             raise ValueError(f"pchf_pct out of range: {pchf_pct}")
-        for name, value in (("crr", crr), ("vidovp", vidovp), ("crav", crav)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of range: {value}")
+        if not (0.0 <= crr <= 1.0 and 0.0 <= vidovp <= 1.0 and 0.0 <= crav <= 1.0):
+            for name, value in (("crr", crr), ("vidovp", vidovp), ("crav", crav)):
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name} out of range: {value}")
         if crav > crr or crav > vidovp:
             raise ValueError("crav exceeds crr or vidovp")
         return tuple.__new__(cls, (user_id, n_comments, atdc_s, pchf_pct, crr, vidovp, crav))
@@ -415,11 +426,15 @@ def decode_record(obj: dict) -> CommentRecord:
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"expected JSON object, got {type(obj).__name__}")
-    user_id = _required_str(obj, "user_id")
-    video_id = _required_str(obj, "video_id")
-    published_at = _required_str(obj, "published_at")
-    return CommentRecord(user_id, video_id, parse_rfc3339(published_at), obj.get("text", ""),
-                         obj.get("has_spam_hint", False), obj.get("comment_id"))
+    get = obj.get
+    user_id, video_id, published_at = get("user_id"), get("video_id"), get("published_at")
+    if not (isinstance(user_id, str) and isinstance(video_id, str)
+            and isinstance(published_at, str)):  # name the first bad field, in this order
+        user_id = _required_str(obj, "user_id")
+        video_id = _required_str(obj, "video_id")
+        published_at = _required_str(obj, "published_at")
+    return CommentRecord(user_id, video_id, parse_rfc3339(published_at), get("text", ""),
+                         get("has_spam_hint", False), get("comment_id"))
 
 
 def _required_str(obj: dict, key: str) -> str:
@@ -431,6 +446,11 @@ def _required_str(obj: dict, key: str) -> str:
     raise ValidationError(f"{key} must be a string")
 
 
+# Each indicator with its JSON string, in rule order, and each label's JSON string.
+_INDICATOR_JSON = tuple((ind, f'"{ind.value}"') for ind in Indicator)
+_LABEL_JSON = {label: f'"{label.value}"' for label in Label}
+
+
 def verdict_to_json(verdict: Verdict) -> str:
     """Canonical JSON line for one verdict (no newline), its features nested.
 
@@ -438,10 +458,11 @@ def verdict_to_json(verdict: Verdict) -> str:
     when it is absent.
     """
     fv = verdict.features
-    triggered = ", ".join(f'"{ind.value}"' for ind in Indicator if ind in verdict.triggered)
+    fired = verdict.triggered
+    triggered = ", ".join([text for ind, text in _INDICATOR_JSON if ind in fired]) if fired else ""
     atdc = "" if fv.atdc_s is None else f'"atdc_s": {fv.atdc_s!r}, '
     return (
-        f'{{"user_id": {_quote(verdict.user_id)}, "label": "{verdict.label.value}", '
+        f'{{"user_id": {_quote(verdict.user_id)}, "label": {_LABEL_JSON[verdict.label]}, '
         f'"triggered": [{triggered}], "features": {{"user_id": {_quote(fv.user_id)}, '
         f'"n_comments": {fv.n_comments!r}, {atdc}"pchf_pct": {fv.pchf_pct!r}, '
         f'"crr": {fv.crr!r}, "vidovp": {fv.vidovp!r}, "crav": {fv.crav!r}}}}}'

@@ -12,7 +12,10 @@ zero are excluded from those two (log10 is undefined there).
     fig6  log10_atdc  x  n_comments x pchf_pct   (CSV only, 3-D)
 
 Emission is deterministic: the same input produces byte-identical CSV and
-SVG. CSV cells use up to six fractional digits with trailing zeros trimmed.
+SVG. CSV cells and SVG axis labels use up to six fractional digits with
+trailing zeros trimmed, and a value that rounds to zero is written 0, never
+-0 (fig5 and fig6 keep an ATDC just under one second, whose log10 is such a
+value).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _fmt(value: float) -> str:
     if isinstance(value, int):
         return str(value)
     text = format(value, ".6f").rstrip("0").rstrip(".")
-    return text if text else "0"
+    return "0" if text == "-0" else text  # a negative value that rounds to zero
 
 
 def figure_csv(ds: FigureDataset) -> str:

@@ -207,6 +207,22 @@ class TestBuildLog:
         assert [rec.timestamp_s for rec in log.records] == [1, 2, 3]
         assert type(log.records) is tuple
 
+    def test_all_ids_tied_timestamps_sort_by_comment_id(self):
+        # Every record has a comment_id: tied timestamps order by it, whatever the input order.
+        records = [make_record(ts=ts, cid=cid)
+                   for ts, cid in ((5, "c4"), (5, "c3"), (1, "c2"), (5, "c1"), (1, "c0"))]
+        log = UserActivityLog("u1", records)
+        assert log.records == reference_log_records(records)
+        assert [rec.comment_id for rec in log.records] == ["c0", "c2", "c1", "c3", "c4"]
+
+    def test_record_without_id_sorts_first_among_tied_timestamps(self):
+        # One record has no comment_id: it sorts as "", before the ids its timestamp ties with.
+        records = [make_record(ts=5, cid="b"), make_record(ts=1, cid="z"),
+                   make_record(ts=5, text="no id"), make_record(ts=5, cid="a")]
+        log = UserActivityLog("u1", records)
+        assert log.records == reference_log_records(records)
+        assert [rec.comment_id for rec in log.records] == ["z", None, "a", "b"]
+
     def test_value_types_have_no_instance_dict(self):
         log = UserActivityLog("u1", [make_record(ts=1)])
         fv = FeatureVector("u1", 1, None, 0.0, 0.0, 0.0, 0.0)
@@ -460,6 +476,17 @@ class TestRecordWireFormat:
         with pytest.raises(ValueError):
             decode_record({"user_id": "u1", "video_id": "v1"})
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"user_id": 5}, "user_id must be a string"),
+        ({"user_id": "u"}, "missing field 'video_id'"),
+        ({"user_id": "u", "video_id": None, "published_at": 5}, "video_id must be a string"),
+        ({"user_id": "u", "video_id": "v"}, "missing field 'published_at'"),
+    ], ids=["bad-user_id", "missing-video_id", "null-video_id", "missing-published_at"])
+    def test_decode_names_the_first_bad_field(self, obj, message):
+        # Fields are checked in the order user_id, video_id, published_at.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            decode_record(obj)
+
     def test_decode_bad_hint_type(self):
         with pytest.raises(ValueError):
             decode_record({
@@ -534,6 +561,22 @@ class TestLineEncoders:
         assert verdict_to_json(verdict) == json.dumps(encode_verdict(verdict), ensure_ascii=False)
 
 
+_TRIGGERED_SETS = [frozenset(ind for i, ind in enumerate(Indicator) if mask >> i & 1)
+                   for mask in range(2 ** len(Indicator))]
+
+
+@pytest.mark.parametrize("label, triggered", [
+    (label, triggered) for triggered in _TRIGGERED_SETS
+    for label in ([Label.SPAMMER] if triggered else [Label.LEGIT, Label.INSUFFICIENT])
+] + [(Label.SPAMMER, {Indicator.VIDOVP, Indicator.PCHF})],
+    ids=lambda value: value.value if isinstance(value, Label)
+    else type(value).__name__ + ":" + "+".join(ind.value for ind in Indicator if ind in value))
+def test_verdict_line_for_every_triggered_set(label, triggered):
+    fv = FeatureVector("u1", 9, 12.5, 80.0, 0.75, 0.5, 0.25)
+    verdict = Verdict("u1", label, triggered, fv)
+    assert verdict_to_json(verdict) == json.dumps(encode_verdict(verdict), ensure_ascii=False)
+
+
 class TestFeatureVectorInvariants:
     def test_atdc_required_for_two_comments(self):
         with pytest.raises(ValueError):
@@ -561,7 +604,8 @@ class TestFeatureVectorInvariants:
         ({"crr": 1.5}, "crr out of range: 1.5"),
         ({"vidovp": -0.5}, "vidovp out of range: -0.5"),
         ({"crav": float("nan")}, "crav out of range: nan"),
-    ], ids=["n_comments", "crr", "vidovp", "crav"])
+        ({"crr": 1.5, "crav": float("nan")}, "crr out of range: 1.5"),
+    ], ids=["n_comments", "crr", "vidovp", "crav", "crr-before-crav"])
     def test_count_and_fractions_in_range(self, fields, message):
         valid = {"user_id": "u1", "n_comments": 3, "atdc_s": 1.0, "pchf_pct": 0.0,
                  "crr": 0.0, "vidovp": 0.0, "crav": 0.0}

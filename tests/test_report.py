@@ -11,6 +11,7 @@ from spamminer.model import FeatureVector, RuleConfig
 from spamminer.report import (
     FIGURE_IDS,
     UnsupportedFigure,
+    _fmt,
     figure_csv,
     figure_dataset,
     summarize,
@@ -74,6 +75,14 @@ class TestCsv:
         vectors = [fv("a", n=8, crr=1 / 3)]
         text = figure_csv(figure_dataset(vectors, "fig3"))
         assert text == "crr,pchf_pct\n0.333333,0\n"
+
+    @pytest.mark.parametrize("value", [-1e-7, -0.0, math.log10(1 - 1 / 900000)])
+    def test_value_rounding_to_zero_is_written_without_sign(self, value):
+        assert _fmt(value) == "0"
+
+    def test_atdc_just_under_a_second_is_log10_zero(self):
+        text = figure_csv(figure_dataset([fv("a", n=8, atdc=1 - 1e-7)], "fig5"))
+        assert text == "n_comments,log10_atdc\n8,0\n"
 
     def test_byte_stable(self):
         vectors = [fv(f"u{i}", n=6 + i, pchf=float(i)) for i in range(20)]
