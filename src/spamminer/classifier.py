@@ -58,9 +58,10 @@ def score_corpus(
     MissingHeader raised, before this returns; each verdict is classified as
     it is drawn. Each run of one user_id is scored as it ends, into one row
     of six numbers per user: the FeatureVector fields after user_id, with 0.0
-    for an absent atdc_s. At the first user_id that comes back, the file is
-    read again, whole and stably sorted by user_id (a pipe at once), which
-    keeps each user's records in input order; only that read keeps its
+    for an absent atdc_s. Each log is ordered by published_at; records of one
+    second keep their input order. At the first user_id that comes back, the
+    file is read again, whole and stably sorted by user_id (a pipe at once),
+    which keeps each user's records in input order; only that read keeps its
     records, so only it passes them through share_ids.
     """
     if format not in ("jsonl", "csv"):
@@ -68,8 +69,7 @@ def score_corpus(
     records_of = ingest.iter_jsonl if format == "jsonl" else ingest.iter_csv
     user_id_of = attrgetter("user_id")
     with open(path, "rb") as fh:
-        whole = not fh.seekable()
-        while True:
+        for whole in (False, True) if fh.seekable() else (True,):
             rows: dict[str, int] = {}  # user_id -> row number in table
             table = array("d")
             report = ingest.IngestReport()
@@ -79,14 +79,13 @@ def score_corpus(
                 records.sort(key=user_id_of)  # in place: sorted() would hold a second list
             for user_id, run in groupby(records, key=user_id_of):
                 if user_id in rows:  # the first repeat: this user's row is incomplete
+                    fh.seek(0)
                     break
                 values = features._feature_values(UserActivityLog(user_id, run))
                 rows[user_id] = len(rows)
                 table.extend(values if values[1] is not None else (values[0], 0.0, *values[2:]))
             else:  # every run read: no user_id came back
                 break
-            fh.seek(0)
-            whole = True
     return report, _verdicts(rows, table, config)
 
 

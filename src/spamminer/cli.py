@@ -174,9 +174,12 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     if args.page_limit < 1:
         raise UsageError(f"--page-limit must be at least 1: {args.page_limit}")
     try:
-        ingest._is_http(args.endpoint)
+        is_http = ingest._is_http(args.endpoint)
     except ValueError as exc:  # credentials in the URL; the message does not repeat them
         raise UsageError(str(exc)) from None
+    if not is_http and not os.path.isdir(args.endpoint):  # every user would fail alike
+        raise NotADirectoryError(errno.ENOTDIR, "--endpoint is not a URL or a directory",
+                                 args.endpoint)
     # Each user's file would be read from and replaced in the one directory.
     if os.path.isdir(args.cache) and _same_file(args.cache, args.endpoint):
         raise UsageError(f"--cache is the --endpoint directory: {args.cache}")
@@ -236,6 +239,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         figure_ids = list(report.FIGURE_IDS)
     else:
         figure_ids = list(dict.fromkeys(filter(None, map(str.strip, args.figures.split(",")))))
+        if not figure_ids:
+            raise UsageError(f"--figures names no figure: {args.figures!r}")
         unknown = [name for name in figure_ids if name not in report.FIGURE_COLUMNS]
         if unknown:
             raise UsageError(f"unknown figure id: {unknown[0]!r}")

@@ -140,8 +140,7 @@ class CommentRecord(_Value, namedtuple(
         return tuple.__new__(cls, (user_id, video_id, timestamp_s, text, has_spam_hint, comment_id))
 
 
-# UserActivityLog's sort key when every record has a comment_id, which is then never blank.
-_TIME_AND_ID = operator.attrgetter("timestamp_s", "comment_id")
+_TIMESTAMP = operator.attrgetter("timestamp_s")  # UserActivityLog's sort key
 
 
 class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
@@ -150,8 +149,8 @@ class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     The constructor takes the records in any order, from any iterable. It
     raises MixedUsers at the first record of another user, keeps the first
     record of each comment_id (records without one are never deduplicated),
-    and sorts stably by timestamp, ties broken by comment_id then input
-    order. A log built from a log's own records is that log again.
+    and sorts stably by published_at: records of one second keep their
+    input order. A log built from a log's own records is that log again.
     """
 
     __slots__ = ()
@@ -159,22 +158,16 @@ class UserActivityLog(_Value, namedtuple("UserActivityLog", "user_id records")):
     def __new__(cls, user_id: str, records: Iterable[CommentRecord]) -> UserActivityLog:
         seen_ids: set[str] = set()
         kept: list[CommentRecord] = []
-        all_ids = True
         for rec in records:
             if rec.user_id != user_id:
                 raise MixedUsers(f"record for {rec.user_id!r} in log of {user_id!r}")
             cid = rec.comment_id
-            if cid is None:
-                all_ids = False
-            elif cid in seen_ids:
-                continue
-            else:
+            if cid is not None:
+                if cid in seen_ids:
+                    continue
                 seen_ids.add(cid)
             kept.append(rec)
-        if all_ids:
-            kept.sort(key=_TIME_AND_ID)
-        else:
-            kept.sort(key=lambda rec: (rec.timestamp_s, rec.comment_id or ""))
+        kept.sort(key=_TIMESTAMP)
         return tuple.__new__(cls, (user_id, tuple(kept)))
 
     def __len__(self) -> int:

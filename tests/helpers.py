@@ -56,14 +56,13 @@ def reference_log_records(records: list[CommentRecord]) -> tuple[CommentRecord, 
     """The records a log of these holds, found the plain way, as an oracle for UserActivityLog.
 
     First drop every record whose comment_id an earlier record holds, then
-    order the rest by timestamp, comment_id (absent as "") and input
-    position. It does not check whose records they are.
+    order the rest by timestamp and input position. It does not check whose
+    records they are.
     """
     kept = [rec for i, rec in enumerate(records)
             if rec.comment_id is None
             or all(other.comment_id != rec.comment_id for other in records[:i])]
-    order = sorted(range(len(kept)),
-                   key=lambda i: (kept[i].timestamp_s, kept[i].comment_id or "", i))
+    order = sorted(range(len(kept)), key=lambda i: (kept[i].timestamp_s, i))
     return tuple(kept[i] for i in order)
 
 

@@ -295,6 +295,16 @@ class TestScore:
         assert f"{mixed}:2: rejected line (ParseError)" in capsys.readouterr().err
         assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
+    def test_instant_before_1970_is_warning(self, corpus_path, tmp_path, capsys):
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        early = json.loads(lines[0])
+        early["published_at"] = "1969-12-31T23:59:59Z"
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(lines[0] + json.dumps(early).encode() + b"\n" + b"".join(lines[1:]))
+        code = main(["score", "--input", str(mixed), "--output", str(tmp_path / "o.jsonl")])
+        assert code == EXIT_OK
+        assert f"{mixed}:2: rejected line (NegativeTimestamp)" in capsys.readouterr().err
+
     def test_deeply_nested_config_is_config_error(self, corpus_path, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
         cfg_path.write_bytes(DEEP_JSON)
@@ -776,6 +786,20 @@ class TestFetch:
                      "--cache", str(tmp_path / "cache")])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_endpoint_that_is_no_directory_is_io_error(self, tmp_path, capsys, kind):
+        # Refused once, before --users is read: the users file named here does not exist.
+        endpoint = tmp_path / "feed"
+        if kind == "file":
+            endpoint.write_text("", encoding="utf-8")
+        code = main(["fetch", "--endpoint", str(endpoint), "--users", str(tmp_path / "no-users"),
+                     "--cache", str(tmp_path / "cache")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"spamminer: io error: [Errno {errno.ENOTDIR}] --endpoint is not a URL or a "
+            f"directory: '{endpoint}'\n")
+        assert not (tmp_path / "cache").exists()
+
     def test_users_file_split_only_at_newline(self, tmp_path, capsys):
         feed_dir = tmp_path / "feed"
         user = "a\u2028b"
@@ -851,7 +875,7 @@ class TestFetch:
         users = tmp_path / "users.txt"
         users.write_text(f"alice\n{long_id}\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
-        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+        code = main(["fetch", "--endpoint", str(tmp_path), "--users", str(users),
                      "--cache", str(cache_dir)])
         assert code == EXIT_OK
         assert capsys.readouterr().err == (
@@ -870,7 +894,7 @@ class TestFetch:
         users = tmp_path / "users.txt"
         users.write_text("alice\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
-        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+        code = main(["fetch", "--endpoint", str(tmp_path), "--users", str(users),
                      "--cache", str(cache_dir)])
         assert code == EXIT_IO
         err = capsys.readouterr().err
@@ -889,7 +913,7 @@ class TestFetch:
         users.write_text("alice\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / "cache"
         for _ in range(2):  # the same stderr each time, with no random temp name in it
-            code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+            code = main(["fetch", "--endpoint", str(tmp_path), "--users", str(users),
                          "--cache", str(cache_dir)])
             assert code == EXIT_IO
             assert capsys.readouterr().err == (
@@ -901,7 +925,7 @@ class TestFetch:
         users = tmp_path / "users.txt"
         users.write_text("alice\nbob\n", encoding="utf-8")
         cache_dir = tmp_path / ("c" * 300)
-        code = main(["fetch", "--endpoint", "unused", "--users", str(users),
+        code = main(["fetch", "--endpoint", str(tmp_path), "--users", str(users),
                      "--cache", str(cache_dir)])
         assert code == EXIT_IO
         assert capsys.readouterr().err == (
@@ -1121,6 +1145,36 @@ class TestInputOrder:
             assert piped == (tmp_path / "filed.jsonl").read_bytes()
             assert piped_err == capsys.readouterr().err.replace(str(corpus), "IN")
             assert piped_err.count("rejected line") == (case == "rejected_in_shuffled")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_same_second_records_in_any_order(self, tmp_path, capsys):
+        # Four records of one user in one second, against comment_id order, from a JSONL
+        # file, a CSV file and a pipe, score exactly as the same records in that order.
+        records = _contiguous_records()
+        tied = [rec._replace(timestamp_s=records[0].timestamp_s) for rec in records[:4]]
+        tied.sort(key=attrgetter("comment_id"))
+        assert _run_end(records, 0) > 4 and len({rec.comment_id for rec in tied}) == 4
+        in_order, reversed_ = tied + records[4:], tied[::-1] + records[4:]
+
+        def score(corpus, fmt, name):
+            assert main(["score", "--input", str(corpus), "--format", fmt, "--explain",
+                         "--output", str(tmp_path / name)]) == EXIT_OK
+            return (tmp_path / name).read_bytes(), capsys.readouterr().err
+
+        sorted_corpus = tmp_path / "sorted.jsonl"
+        sorted_corpus.write_bytes(_render(in_order, "jsonl"))
+        expected = score(sorted_corpus, "jsonl", "sorted-verdicts.jsonl")
+        for fmt in ("jsonl", "csv"):
+            corpus = tmp_path / f"reversed.{fmt}"
+            corpus.write_bytes(_render(reversed_, fmt))
+            assert score(corpus, fmt, f"{fmt}-verdicts.jsonl") == expected
+            fifo = tmp_path / f"reversed.{fmt}.pipe"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),))
+            writer.start()
+            piped = score(fifo, fmt, f"piped-{fmt}-verdicts.jsonl")
+            writer.join()
+            assert piped == expected
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_at_most_one_user_buffered(self, tmp_path, monkeypatch, fmt):
@@ -1399,6 +1453,17 @@ class TestReport:
                      "--outdir", str(tmp_path / "figs")])
         assert code == EXIT_USAGE
         assert "fig9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figures", [" , ", ""])
+    def test_empty_figure_selection_is_usage_error(self, tmp_path, capsys, figures):
+        # Refused before --input is read: a missing input is not reached.
+        outdir = tmp_path / "figs"
+        code = main(["report", "--input", str(tmp_path / "missing.jsonl"), "--figures", figures,
+                     "--outdir", str(outdir)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"spamminer: usage error: --figures names no figure: {figures!r}\n")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("fmt, content", REJECTED_INPUTS)
     def test_rejected_input_writes_no_output(self, tmp_path, fmt, content):

@@ -566,6 +566,28 @@ class TestIterRecords:
         assert lines_read == [1, 2, 3]
         assert (report.accepted, report.rejects) == (2, [(2, "ParseError")])
 
+    @pytest.mark.parametrize("read", [iter_jsonl, iter_csv])
+    def test_reject_named_by_the_records_own_check(self, read):
+        good = ("u1", "v1", "2021-01-01T00:00:00Z")
+        rows = [good,
+                (" ", "v1", "2021-01-01T00:00:00Z"), good,  # EmptyUserId
+                ("u1", "", "2021-01-01T00:00:00Z"), good,   # EmptyVideoId
+                ("u1", "v1", "1969-12-31T23:59:59Z"), good]  # NegativeTimestamp
+        if read is iter_jsonl:
+            stream = _jsonl([json.dumps({"user_id": u, "video_id": v, "published_at": p})
+                             for u, v, p in rows])
+        else:
+            stream = _csv([CSV_HEADER] + [f"{u},c{i},{v},{p},hi,false"
+                                          for i, (u, v, p) in enumerate(rows)])
+        report = IngestReport()
+        records = list(read(stream, report))
+        first = 2 if read is iter_jsonl else 3  # the first bad line; CSV line 1 is the header
+        assert report.rejects == [(first, "EmptyUserId"), (first + 2, "EmptyVideoId"),
+                                  (first + 4, "NegativeTimestamp")]
+        assert len(records) == report.accepted == 4
+        assert {(rec.user_id, rec.video_id, rec.timestamp_s) for rec in records} == {
+            ("u1", "v1", 1609459200)}
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

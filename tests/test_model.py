@@ -161,9 +161,11 @@ class TestBuildLog:
         log = UserActivityLog("u1", records)
         assert [rec.timestamp_s for rec in log.records] == [10, 20, 30]
 
-    def test_tie_break_by_comment_id(self):
+    def test_tied_timestamps_keep_input_order(self):
         records = [make_record(ts=5, cid="b"), make_record(ts=5, cid="a")]
         log = UserActivityLog("u1", records)
+        assert [rec.comment_id for rec in log.records] == ["b", "a"]
+        log = UserActivityLog("u1", records[::-1])
         assert [rec.comment_id for rec in log.records] == ["a", "b"]
 
     def test_dedup_keeps_first_occurrence(self):
@@ -207,21 +209,21 @@ class TestBuildLog:
         assert [rec.timestamp_s for rec in log.records] == [1, 2, 3]
         assert type(log.records) is tuple
 
-    def test_all_ids_tied_timestamps_sort_by_comment_id(self):
-        # Every record has a comment_id: tied timestamps order by it, whatever the input order.
+    def test_all_ids_tied_timestamps_keep_input_order(self):
+        # Every record has a comment_id: it plays no part in the order of tied timestamps.
         records = [make_record(ts=ts, cid=cid)
                    for ts, cid in ((5, "c4"), (5, "c3"), (1, "c2"), (5, "c1"), (1, "c0"))]
         log = UserActivityLog("u1", records)
         assert log.records == reference_log_records(records)
-        assert [rec.comment_id for rec in log.records] == ["c0", "c2", "c1", "c3", "c4"]
+        assert [rec.comment_id for rec in log.records] == ["c2", "c0", "c4", "c3", "c1"]
 
-    def test_record_without_id_sorts_first_among_tied_timestamps(self):
-        # One record has no comment_id: it sorts as "", before the ids its timestamp ties with.
+    def test_record_without_id_keeps_its_place_among_tied_timestamps(self):
+        # One record has no comment_id: it stays where the input put it among its timestamp's.
         records = [make_record(ts=5, cid="b"), make_record(ts=1, cid="z"),
                    make_record(ts=5, text="no id"), make_record(ts=5, cid="a")]
         log = UserActivityLog("u1", records)
         assert log.records == reference_log_records(records)
-        assert [rec.comment_id for rec in log.records] == ["z", None, "a", "b"]
+        assert [rec.comment_id for rec in log.records] == ["z", "b", None, "a"]
 
     def test_value_types_have_no_instance_dict(self):
         log = UserActivityLog("u1", [make_record(ts=1)])
